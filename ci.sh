@@ -10,6 +10,10 @@ run() {
 }
 
 run cargo build --release --all-targets
+# The benchmark is its own Cargo workspace (path dependencies on the
+# crates), so the workspace build above does not compile it; build it
+# here so an API change it depends on fails CI instead of the benchmark.
+run cargo build --release --offline --manifest-path benchmark/Cargo.toml
 run cargo test --workspace -q
 run cargo test -q -p shard-pool
 run cargo clippy --all-targets -- -D warnings

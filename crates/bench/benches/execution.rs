@@ -193,7 +193,7 @@ fn bench_replay_scaling(_c: &mut Criterion) {
 static KERNEL_ROWS: OnceLock<String> = OnceLock::new();
 
 /// What the seed driver recorded per transaction (the pre-kernel
-/// `ClusterReport` row): serial position, origin, decision-time
+/// cluster report row): serial position, origin, decision-time
 /// knowledge, chosen update and external actions.
 struct SeedTxn {
     ts: Timestamp,

@@ -35,12 +35,13 @@
 //!   (strong) priority preservation.
 //! * [`replay`] — the incremental replay engine: checkpointed,
 //!   memoizing state computation shared by executions, the checkers and
-//!   the simulator's undo/redo merge log.
+//!   the simulator's undo/redo merge log, over one checkpoint type
+//!   with an optional store-backed cold tier.
 //! * [`pmap`] — a zero-dependency persistent ordered map (`Arc`-shared
 //!   copy-on-write treap) applications build their states on, so state
 //!   clones are O(1) and checkpoint chains cost O(delta) memory.
 //! * [`stream`] — online (streaming) versions of the §3 checkers:
-//!   windowed, resumable monitors over the serial order that emit
+//!   windowed monitors over the serial order that emit
 //!   incremental verdicts plus compact, independently checkable
 //!   certificates.
 //! * [`bitset`] — a small dense bit-set used by the execution property
@@ -109,7 +110,7 @@ pub use grouping::Grouping;
 pub use objects::{ObjectId, ObjectModel};
 pub use pmap::PMap;
 pub use replay::{
-    Checkpoints, ReplayStats, Replayer, SpillingCheckpoints, StreamedRecord, StreamingExecution,
+    Checkpoints, ReplayStats, Replayer, StreamedRecord, StreamingExecution,
     DEFAULT_CHECKPOINT_INTERVAL,
 };
 pub use stream::{Certificate, StreamChecker, StreamReport, StreamRow, WindowVerdict};

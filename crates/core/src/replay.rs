@@ -151,193 +151,55 @@ pub struct ReplayStats {
 /// \[BK\]/\[SKS\]: keep periodic snapshots so that undoing to a timestamp
 /// means dropping the invalidated suffix of checkpoints and redoing from
 /// the deepest survivor. The same structure serves the in-memory replay
-/// cache of [`Replayer`] and `Execution`.
+/// cache of [`Replayer`] and `Execution`, the simulator's undo/redo
+/// merge log and the out-of-core streaming merge.
 ///
 /// With structurally-shared states (e.g. [`crate::pmap::PMap`]-backed),
 /// consecutive recorded snapshots share all but the nodes touched since
 /// the previous record — the sequence is then a **delta chain**: each
-/// link costs O(delta) memory, not O(state). For deep-cloning states
-/// the optional *anchor spacing* knob
-/// ([`Checkpoints::with_anchor_spacing`]) bounds the chain instead:
-/// only every `anchor_every`-th recorded point is retained long-term
-/// (plus the newest point, where the next resume usually lands), so
-/// the chain holds `O(n / (interval · anchor_every))` full anchors.
-/// Pruning never changes any state a resume produces — only how far
-/// back a resume may have to replay — and the default spacing of 1
-/// retains every point, byte-identical to the pre-delta-chain
-/// behaviour (a property test in `tests/state_inplace.rs` pins this).
-#[derive(Clone, Debug)]
-pub struct Checkpoints<S> {
-    every: usize,
-    anchor_every: usize,
-    /// Successful records since the last retained anchor; 0 means the
-    /// newest point *is* an anchor.
-    since_anchor: usize,
-    points: Vec<(usize, S)>,
-}
-
-impl<S: Clone> Checkpoints<S> {
-    /// Creates an empty checkpoint sequence recording every `every`
-    /// applied updates, retaining every recorded point (anchor
-    /// spacing 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0` (checkpoint interval must be positive).
-    pub fn new(every: usize) -> Self {
-        Self::with_anchor_spacing(every, 1)
-    }
-
-    /// Creates an empty checkpoint sequence recording every `every`
-    /// applied updates and retaining one long-term anchor per
-    /// `anchor_every` recorded points (the newest point is always
-    /// kept). `anchor_every == 1` keeps everything — the snapshot
-    /// behaviour [`Checkpoints::new`] gives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0` or `anchor_every == 0`.
-    pub fn with_anchor_spacing(every: usize, anchor_every: usize) -> Self {
-        assert!(every > 0, "checkpoint interval must be positive");
-        assert!(anchor_every > 0, "anchor spacing must be positive");
-        Checkpoints {
-            every,
-            anchor_every,
-            since_anchor: 0,
-            points: Vec::new(),
-        }
-    }
-
-    /// The configured spacing between checkpoints, in applied updates.
-    pub fn interval(&self) -> usize {
-        self.every
-    }
-
-    /// The anchor spacing: how many recorded points yield one retained
-    /// long-term anchor (1 = retain every point).
-    pub fn anchor_spacing(&self) -> usize {
-        self.anchor_every
-    }
-
-    /// The number of checkpoints currently stored.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether no checkpoints are stored.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Drops all checkpoints, keeping the interval.
-    pub fn clear(&mut self) {
-        self.points.clear();
-        self.since_anchor = 0;
-    }
-
-    /// The depth (applied-update count) of the deepest checkpoint, or 0.
-    pub fn last_len(&self) -> usize {
-        self.points.last().map_or(0, |&(l, _)| l)
-    }
-
-    /// The deepest checkpoint, if any.
-    pub fn last(&self) -> Option<(usize, &S)> {
-        self.points.last().map(|(l, s)| (*l, s))
-    }
-
-    /// Records `state` as the checkpoint after `len` applied updates if
-    /// the deepest checkpoint is at least `interval` updates back (an
-    /// empty sequence counts as a checkpoint at depth 0). Calls with
-    /// `len` at or below the deepest checkpoint are no-ops — replaying
-    /// *between* existing checkpoints records nothing new. Returns
-    /// whether a checkpoint was stored.
-    pub fn record(&mut self, len: usize, state: &S) -> bool {
-        if len >= self.last_len() + self.every {
-            // Delta-chain pruning: the newest point was provisional
-            // unless it fell on an anchor; with spacing 1 every point
-            // is an anchor and nothing is ever dropped.
-            if self.since_anchor != 0 {
-                self.points.pop();
-            }
-            self.since_anchor = (self.since_anchor + 1) % self.anchor_every;
-            self.points.push((len, state.clone()));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Drops every checkpoint deeper than `keep` applied updates — the
-    /// *undo* half of undo/redo: checkpoints past an insertion point are
-    /// invalidated, those at or before it survive.
-    pub fn truncate(&mut self, keep: usize) {
-        let before = self.points.len();
-        while self.points.last().is_some_and(|&(l, _)| l > keep) {
-            self.points.pop();
-        }
-        if self.points.len() != before {
-            // The surviving tip becomes the anchor the next run of
-            // records counts from.
-            self.since_anchor = 0;
-        }
-    }
-
-    /// The deepest checkpoint at or below `limit` applied updates —
-    /// the best place to resume a replay targeting depth `limit`.
-    pub fn floor(&self, limit: usize) -> Option<(usize, &S)> {
-        let idx = self.points.partition_point(|&(l, _)| l <= limit);
-        if idx == 0 {
-            None
-        } else {
-            let (l, s) = &self.points[idx - 1];
-            Some((*l, s))
-        }
-    }
-}
-
-fn encode_state<S: shard_store::Codec>(s: &S, out: &mut Vec<u8>) {
-    s.encode(out);
-}
-
-fn decode_state<S: shard_store::Codec>(bytes: &[u8]) -> Option<S> {
-    S::from_slice(bytes)
-}
-
-/// A two-tier checkpoint sequence: the newest `hot_capacity` points
-/// stay in RAM (the delta chain every resume usually lands on), while
-/// every `spill_spacing`-th point evicted from the hot tier is
-/// serialized through a [`Store`](shard_store::Store) as a **cold
-/// anchor** — so a 10⁷-update execution keeps O(hot) resident state
-/// instead of O(n / interval) snapshots.
+/// link costs O(delta) memory, not O(state).
 ///
-/// The spill store is a *cache*, not a durability domain: a spilled
-/// anchor that fails to write, load or decode (e.g. a kill point cut
-/// it in half) is simply skipped and the resume falls back to the next
-/// shallower anchor — answers never change, only how far a replay has
+/// Points live in one of two tiers, chosen at construction:
+///
+/// * **hot** — in RAM. [`Checkpoints::new`] keeps every point hot.
+/// * **cold** — [`Checkpoints::with_cold_tier`] keeps only the newest
+///   `hot_points` in RAM (the points every resume usually lands on)
+///   and serializes every `spill_spacing`-th point evicted from the hot
+///   tier through a [`Store`](shard_store::Store) as a **cold anchor**,
+///   so a 10⁷-update execution holds O(hot) resident state instead of
+///   O(n / interval) snapshots.
+///
+/// The cold store is a *cache*, not a durability domain: a cold anchor
+/// that fails to write, load or decode (e.g. a kill point cut it in
+/// half) is simply skipped and the resume falls back to the next
+/// shallower point — answers never change, only how far a replay has
 /// to run. The serialization functions are captured as plain `fn`
-/// pointers at construction (the one place a
+/// pointers by the cold-tier constructor (the one place a
 /// [`Codec`](shard_store::Codec) bound exists), so every later call
-/// site — the merge log's undo/redo paths included — stays free of
-/// codec bounds.
+/// site stays free of codec bounds.
 ///
-/// Spilled record byte layout (see `docs/storage.md`): anchor `seq`
-/// (a monotone sequence number, so truncated-then-rewritten depths
-/// never collide in the insert-only store) keys a chunked group of
+/// Cold record byte layout (see `docs/storage.md`): anchor `seq` (a
+/// monotone sequence number, so truncated-then-rewritten depths never
+/// collide in the insert-only store) keys a chunked group of
 /// `write_frame(encode(state))` split into
 /// [`CHUNK_BYTES`](shard_store::CHUNK_BYTES) records
 /// `(primary = seq, secondary = chunk index)`.
-pub struct SpillingCheckpoints<S> {
+pub struct Checkpoints<S> {
     every: usize,
+    /// Points in RAM `(depth, state, size hint)`, ascending by depth;
+    /// every hot depth is deeper than every cold depth.
+    hot: std::collections::VecDeque<(usize, S, usize)>,
+    /// Sum of the hot size hints — the tier's resident-state bytes.
+    hot_bytes: usize,
+    cold: Option<ColdTier<S>>,
+}
+
+/// The store-backed half of a [`Checkpoints`] sequence.
+struct ColdTier<S> {
     hot_capacity: usize,
     spill_spacing: usize,
-    /// Newest points, ascending by depth; parallel to `hot_hints`.
-    hot: std::collections::VecDeque<(usize, S)>,
-    hot_hints: std::collections::VecDeque<usize>,
-    /// Sum of `hot_hints` — the tier's resident-state bytes.
-    hot_bytes: usize,
-    /// Spilled anchors `(depth, seq)`, ascending by depth; every depth
-    /// here is shallower than every hot depth.
-    spilled: Vec<(usize, u64)>,
+    /// Spilled anchors `(depth, seq)`, ascending by depth.
+    anchors: Vec<(usize, u64)>,
     next_seq: u64,
     evictions: usize,
     store: Box<dyn shard_store::Store + Send>,
@@ -345,53 +207,83 @@ pub struct SpillingCheckpoints<S> {
     decode: fn(&[u8]) -> Option<S>,
 }
 
-impl<S> std::fmt::Debug for SpillingCheckpoints<S> {
+impl<S: Clone> Clone for Checkpoints<S> {
+    /// Clones the hot points. A cold-tiered sequence clones to an
+    /// empty, hot-only sequence at the same interval — the store is
+    /// single-owner and checkpoints are a rebuildable cache, so the
+    /// clone starts empty but answers identically.
+    fn clone(&self) -> Self {
+        match self.cold {
+            None => Checkpoints {
+                every: self.every,
+                hot: self.hot.clone(),
+                hot_bytes: self.hot_bytes,
+                cold: None,
+            },
+            Some(_) => Checkpoints::new(self.every),
+        }
+    }
+}
+
+impl<S: Clone> std::fmt::Debug for Checkpoints<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpillingCheckpoints")
+        f.debug_struct("Checkpoints")
             .field("every", &self.every)
-            .field("hot_capacity", &self.hot_capacity)
-            .field("spill_spacing", &self.spill_spacing)
             .field("hot_points", &self.hot.len())
             .field("hot_bytes", &self.hot_bytes)
-            .field("spilled", &self.spilled.len())
+            .field("cold_anchors", &self.spilled_anchors())
             .finish()
     }
 }
 
-impl<S: Clone> SpillingCheckpoints<S> {
-    /// An empty spilling sequence recording every `every` applied
-    /// updates, keeping `hot_capacity` points in RAM and spilling
-    /// every `spill_spacing`-th evicted point to `store` as a cold
+impl<S: Clone> Checkpoints<S> {
+    /// An empty, hot-only sequence recording every `every` applied
+    /// updates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every == 0` (checkpoint interval must be positive).
+    pub fn new(every: usize) -> Self {
+        assert!(every > 0, "checkpoint interval must be positive");
+        Checkpoints {
+            every,
+            hot: std::collections::VecDeque::new(),
+            hot_bytes: 0,
+            cold: None,
+        }
+    }
+
+    /// An empty sequence recording every `every` applied updates that
+    /// keeps the newest `hot_points` in RAM and spills every
+    /// `spill_spacing`-th point evicted from them to `store` as a cold
     /// anchor (1 = spill everything evicted).
     ///
     /// # Panics
     ///
-    /// Panics if `every`, `hot_capacity` or `spill_spacing` is 0.
-    pub fn new(
+    /// Panics if `every`, `hot_points` or `spill_spacing` is 0.
+    pub fn with_cold_tier(
         store: Box<dyn shard_store::Store + Send>,
         every: usize,
-        hot_capacity: usize,
+        hot_points: usize,
         spill_spacing: usize,
     ) -> Self
     where
         S: shard_store::Codec,
     {
-        assert!(every > 0, "checkpoint interval must be positive");
-        assert!(hot_capacity > 0, "hot capacity must be positive");
+        assert!(hot_points > 0, "hot capacity must be positive");
         assert!(spill_spacing > 0, "spill spacing must be positive");
-        SpillingCheckpoints {
-            every,
-            hot_capacity,
-            spill_spacing,
-            hot: std::collections::VecDeque::new(),
-            hot_hints: std::collections::VecDeque::new(),
-            hot_bytes: 0,
-            spilled: Vec::new(),
-            next_seq: 0,
-            evictions: 0,
-            store,
-            encode: encode_state::<S>,
-            decode: decode_state::<S>,
+        Checkpoints {
+            cold: Some(ColdTier {
+                hot_capacity: hot_points,
+                spill_spacing,
+                anchors: Vec::new(),
+                next_seq: 0,
+                evictions: 0,
+                store,
+                encode: S::encode,
+                decode: S::from_slice,
+            }),
+            ..Self::new(every)
         }
     }
 
@@ -400,14 +292,14 @@ impl<S: Clone> SpillingCheckpoints<S> {
         self.every
     }
 
-    /// Checkpoints currently reachable (hot + spilled).
+    /// Checkpoints currently reachable (hot + cold).
     pub fn len(&self) -> usize {
-        self.hot.len() + self.spilled.len()
+        self.hot.len() + self.spilled_anchors()
     }
 
     /// Whether no checkpoints are stored.
     pub fn is_empty(&self) -> bool {
-        self.hot.is_empty() && self.spilled.is_empty()
+        self.len() == 0
     }
 
     /// Resident (hot-tier) state bytes, per the recorded size hints.
@@ -415,104 +307,115 @@ impl<S: Clone> SpillingCheckpoints<S> {
         self.hot_bytes
     }
 
-    /// Spilled cold anchors currently indexed.
+    /// Cold anchors currently indexed (0 for a hot-only sequence).
     pub fn spilled_anchors(&self) -> usize {
-        self.spilled.len()
+        self.cold.as_ref().map_or(0, |c| c.anchors.len())
     }
 
-    /// The spill store — exposed so fault harnesses can crash it under
-    /// a live checkpoint sequence.
-    pub fn store_mut(&mut self) -> &mut (dyn shard_store::Store + Send) {
-        &mut *self.store
+    /// The cold store, if the sequence has one — exposed so fault
+    /// harnesses can crash it under a live checkpoint sequence.
+    pub fn store_mut(&mut self) -> Option<&mut (dyn shard_store::Store + Send)> {
+        self.cold.as_mut().map(|c| &mut *c.store as _)
     }
 
-    /// The depth of the deepest checkpoint, or 0.
+    /// The depth (applied-update count) of the deepest checkpoint, or 0.
     pub fn last_len(&self) -> usize {
-        self.hot
-            .back()
-            .map(|&(l, _)| l)
-            .or_else(|| self.spilled.last().map(|&(l, _)| l))
-            .unwrap_or(0)
+        match (self.hot.back(), &self.cold) {
+            (Some(&(l, _, _)), _) => l,
+            (None, Some(c)) => c.anchors.last().map_or(0, |&(l, _)| l),
+            (None, None) => 0,
+        }
     }
 
-    /// Records `state` after `len` applied updates under the same
-    /// interval gating as [`Checkpoints::record`]; `size_hint` is the
-    /// state's [`Application::state_size_hint`] cost, used for
-    /// resident-byte accounting. Returns whether a checkpoint was
-    /// stored. Spill failures are swallowed — the anchor is just not
-    /// indexed.
-    pub fn record(&mut self, len: usize, state: &S, size_hint: usize) -> bool {
+    /// Records `state` as the checkpoint after `len` applied updates if
+    /// the deepest checkpoint is at least `interval` updates back (an
+    /// empty sequence counts as a checkpoint at depth 0). Calls with
+    /// `len` at or below the deepest checkpoint are no-ops — replaying
+    /// *between* existing checkpoints records nothing new.
+    ///
+    /// `size_hint` prices the state (its
+    /// [`Application::state_size_hint`]) and runs only when a point is
+    /// stored. Returns that size when a point was stored — the clone
+    /// the caller accounts for — or `None`. Spill failures are
+    /// swallowed: the anchor is just not indexed.
+    pub fn record(
+        &mut self,
+        len: usize,
+        state: &S,
+        size_hint: impl FnOnce(&S) -> usize,
+    ) -> Option<usize> {
         if len < self.last_len() + self.every {
-            return false;
+            return None;
         }
-        note_state_clone(size_hint);
-        self.hot.push_back((len, state.clone()));
-        self.hot_hints.push_back(size_hint);
-        self.hot_bytes += size_hint;
-        while self.hot.len() > self.hot_capacity {
-            self.evict_front();
+        let bytes = size_hint(state);
+        self.hot.push_back((len, state.clone(), bytes));
+        self.hot_bytes += bytes;
+        if let Some(cold) = &mut self.cold {
+            while self.hot.len() > cold.hot_capacity {
+                let (depth, state, bytes) = self.hot.pop_front().expect("over capacity");
+                self.hot_bytes -= bytes;
+                cold.spill(depth, &state);
+            }
+            note_resident_bytes(self.hot_bytes);
         }
-        note_resident_bytes(self.hot_bytes);
-        true
+        Some(bytes)
     }
 
-    fn evict_front(&mut self) {
-        let Some((depth, state)) = self.hot.pop_front() else {
-            return;
-        };
-        self.hot_bytes -= self.hot_hints.pop_front().unwrap_or(0);
+    /// Drops every checkpoint deeper than `keep` applied updates — the
+    /// *undo* half of undo/redo: checkpoints past an insertion point are
+    /// invalidated, those at or before it survive. Cold records of
+    /// dropped anchors are orphaned, never reused — fresh anchors get
+    /// fresh sequence numbers.
+    pub fn truncate(&mut self, keep: usize) {
+        while self.hot.back().is_some_and(|&(l, _, _)| l > keep) {
+            let (_, _, bytes) = self.hot.pop_back().expect("checked non-empty");
+            self.hot_bytes -= bytes;
+        }
+        if let Some(cold) = &mut self.cold {
+            while cold.anchors.last().is_some_and(|&(l, _)| l > keep) {
+                cold.anchors.pop();
+            }
+        }
+    }
+
+    /// The deepest checkpoint at or below `limit` applied updates — the
+    /// best place to resume a replay targeting depth `limit` — as an
+    /// owned state: cloned out of the hot tier (always deeper where it
+    /// qualifies), or else loaded from the deepest readable cold anchor.
+    pub fn floor(&mut self, limit: usize) -> Option<(usize, S)> {
+        let idx = self.hot.partition_point(|&(l, _, _)| l <= limit);
+        if idx > 0 {
+            let (l, s, _) = &self.hot[idx - 1];
+            return Some((*l, s.clone()));
+        }
+        self.cold.as_mut()?.load(limit, self.hot_bytes)
+    }
+}
+
+impl<S> ColdTier<S> {
+    /// Spills an evicted hot point if it falls on the spill spacing.
+    fn spill(&mut self, depth: usize, state: &S) {
         self.evictions += 1;
         if !self.evictions.is_multiple_of(self.spill_spacing) {
             return;
         }
         let mut payload = Vec::new();
-        (self.encode)(&state, &mut payload);
+        (self.encode)(state, &mut payload);
         let seq = self.next_seq;
         self.next_seq += 1;
         if shard_store::append_chunked(&mut *self.store, seq, &payload).is_ok() {
-            self.spilled.push((depth, seq));
+            self.anchors.push((depth, seq));
             if shard_obs::enabled() {
                 replay_metrics().spills.inc();
             }
         }
     }
 
-    /// Drops every checkpoint deeper than `keep` applied updates (the
-    /// *undo* half of undo/redo). Spilled store records of dropped
-    /// anchors are orphaned, never reused — fresh anchors get fresh
-    /// sequence numbers.
-    pub fn truncate(&mut self, keep: usize) {
-        while self.hot.back().is_some_and(|&(l, _)| l > keep) {
-            self.hot.pop_back();
-            self.hot_bytes -= self.hot_hints.pop_back().unwrap_or(0);
-        }
-        while self.spilled.last().is_some_and(|&(l, _)| l > keep) {
-            self.spilled.pop();
-        }
-    }
-
-    /// The deepest checkpoint, cloned out of the hot tier or loaded
-    /// back from the spill store.
-    pub fn last_owned(&mut self) -> Option<(usize, S)> {
-        if let Some((l, s)) = self.hot.back() {
-            return Some((*l, s.clone()));
-        }
-        self.load_deepest_spilled(usize::MAX)
-    }
-
-    /// The deepest checkpoint at or below `limit` applied updates —
-    /// hot tier first (always deeper where it qualifies), then spilled
-    /// anchors deepest-first, skipping any that fail to load or decode.
-    pub fn floor_owned(&mut self, limit: usize) -> Option<(usize, S)> {
-        if let Some((l, s)) = self.hot.iter().rev().find(|&&(l, _)| l <= limit) {
-            return Some((*l, s.clone()));
-        }
-        self.load_deepest_spilled(limit)
-    }
-
-    fn load_deepest_spilled(&mut self, limit: usize) -> Option<(usize, S)> {
-        let end = self.spilled.partition_point(|&(l, _)| l <= limit);
-        for &(depth, seq) in self.spilled[..end].iter().rev() {
+    /// The deepest anchor at or below `limit` that loads and decodes,
+    /// skipping any that do not.
+    fn load(&mut self, limit: usize, hot_bytes: usize) -> Option<(usize, S)> {
+        let end = self.anchors.partition_point(|&(l, _)| l <= limit);
+        for &(depth, seq) in self.anchors[..end].iter().rev() {
             let Ok(Some(bytes)) = shard_store::read_chunked(&mut *self.store, seq) else {
                 continue;
             };
@@ -524,7 +427,7 @@ impl<S: Clone> SpillingCheckpoints<S> {
             }
             // The loaded anchor is transiently resident on top of the
             // hot tier; its encoded size is the best proxy we have.
-            note_resident_bytes(self.hot_bytes + bytes.len());
+            note_resident_bytes(hot_bytes + bytes.len());
             return Some((depth, state));
         }
         None
@@ -783,11 +686,10 @@ where
 {
     let mut r = shard_store::ByteReader::new(payload);
     let time = r.u64()?;
-    let missed_len = r.u32()? as usize;
-    let mut missed = Vec::with_capacity(missed_len);
-    for _ in 0..missed_len {
-        missed.push(r.u32()? as TxnIndex);
-    }
+    let missed = <Vec<u32> as shard_store::Codec>::decode(&mut r)?
+        .into_iter()
+        .map(|m| m as TxnIndex)
+        .collect();
     let update = <A::Update as shard_store::Codec>::decode(&mut r)?;
     if !r.is_done() {
         return None;
@@ -859,9 +761,9 @@ impl<A: Application> ReplayCache<A> {
     /// appends never require it.
     pub(crate) fn clear(&mut self) {
         self.path.clear();
-        self.path_ckpts.clear();
+        self.path_ckpts.truncate(0);
         self.path_tip = None;
-        self.full.clear();
+        self.full.truncate(0);
         self.full_tip = None;
     }
 
@@ -901,7 +803,7 @@ impl<A: Application> ReplayCache<A> {
                 (lcp, self.path_tip.clone())
             } else {
                 match self.path_ckpts.floor(lcp) {
-                    Some((l, s)) => (l, Some(s.clone())),
+                    Some((l, s)) => (l, Some(s)),
                     None => (0, None),
                 }
             };
@@ -925,14 +827,7 @@ impl<A: Application> ReplayCache<A> {
             }
             lo
         };
-        let mut full_resume: Option<(usize, A::State)> =
-            self.full.floor(serial_run).map(|(l, s)| (l, s.clone()));
-        if let Some((l, s)) = &self.full_tip {
-            if *l <= serial_run && *l > full_resume.as_ref().map_or(0, |&(fl, _)| fl) {
-                full_resume = Some((*l, s.clone()));
-            }
-        }
-        let (depth, mut state, from_full) = match full_resume {
+        let (depth, mut state, from_full) = match self.full_floor(serial_run) {
             Some((fl, fs)) if fl > path_resume.0 => (fl, fs, true),
             _ => match path_resume {
                 (d, Some(s)) => (d, s, false),
@@ -960,9 +855,10 @@ impl<A: Application> ReplayCache<A> {
             // serial run guarantees `prefix[..depth]` is the identity,
             // so rebuild the path bookkeeping from the full-order state.
             self.path.clear();
-            self.path_ckpts.clear();
+            self.path_ckpts.truncate(0);
             self.path.extend_from_slice(&prefix[..depth]);
-            self.path_ckpts.record(depth, &state);
+            self.path_ckpts
+                .record(depth, &state, |s| app.state_size_hint(s));
         } else {
             self.path.truncate(depth);
             self.path_ckpts.truncate(depth);
@@ -971,13 +867,29 @@ impl<A: Application> ReplayCache<A> {
             app.apply_in_place(&mut state, update_at(j));
             self.stats.applied += 1;
             self.path.push(j);
-            if self.path_ckpts.record(self.path.len(), &state) {
-                note_state_clone(app.state_size_hint(&state));
+            if let Some(bytes) = self
+                .path_ckpts
+                .record(self.path.len(), &state, |s| app.state_size_hint(s))
+            {
+                note_state_clone(bytes);
             }
         }
         note_state_clone(app.state_size_hint(&state));
         self.path_tip = Some(state.clone());
         state
+    }
+
+    /// The deepest full-order state at or below `limit` applied
+    /// updates: the cached tip or a checkpoint, whichever is deeper
+    /// (the checkpoint on a tie).
+    fn full_floor(&mut self, limit: usize) -> Option<(usize, A::State)> {
+        let floor = self.full.floor(limit);
+        match &self.full_tip {
+            Some((l, s)) if *l <= limit && *l > floor.as_ref().map_or(0, |&(fl, _)| fl) => {
+                Some((*l, s.clone()))
+            }
+            _ => floor,
+        }
     }
 
     /// The state after the first `m` updates of the serial order —
@@ -992,13 +904,7 @@ impl<A: Application> ReplayCache<A> {
         A::Update: 'u,
     {
         self.stats.queries += 1;
-        let mut base: Option<(usize, A::State)> = self.full.floor(m).map(|(l, s)| (l, s.clone()));
-        if let Some((l, s)) = &self.full_tip {
-            if *l <= m && *l > base.as_ref().map_or(0, |(bl, _)| *bl) {
-                base = Some((*l, s.clone()));
-            }
-        }
-        let (mut len, mut state) = base.unwrap_or((0, app.initial_state()));
+        let (mut len, mut state) = self.full_floor(m).unwrap_or((0, app.initial_state()));
         self.stats.reused += len as u64;
         if shard_obs::enabled() {
             let metrics = replay_metrics();
@@ -1016,8 +922,8 @@ impl<A: Application> ReplayCache<A> {
             app.apply_in_place(&mut state, update_at(len));
             len += 1;
             self.stats.applied += 1;
-            if self.full.record(len, &state) {
-                note_state_clone(app.state_size_hint(&state));
+            if let Some(bytes) = self.full.record(len, &state, |s| app.state_size_hint(s)) {
+                note_state_clone(bytes);
             }
         }
         if self.full_tip.as_ref().is_none_or(|(l, _)| *l <= m) {
@@ -1251,30 +1157,37 @@ mod tests {
         prefix.iter().map(|&j| updates[j].0).collect()
     }
 
+    /// A record that prices every state at 8 bytes.
+    fn record(c: &mut Checkpoints<u64>, len: usize, state: u64) -> bool {
+        c.record(len, &state, |_| 8).is_some()
+    }
+
     #[test]
     fn checkpoints_record_at_interval() {
-        let mut c: Checkpoints<u32> = Checkpoints::new(3);
-        assert!(!c.record(1, &10));
-        assert!(!c.record(2, &20));
-        assert!(c.record(3, &30));
-        assert!(!c.record(4, &40));
-        assert!(c.record(6, &60));
-        assert_eq!(c.last(), Some((6, &60)));
+        let mut c: Checkpoints<u64> = Checkpoints::new(3);
+        assert!(!record(&mut c, 1, 10));
+        assert!(!record(&mut c, 2, 20));
+        assert!(record(&mut c, 3, 30));
+        assert!(!record(&mut c, 4, 40));
+        assert_eq!(c.record(6, &60, |s| *s as usize), Some(60));
+        assert_eq!(c.floor(usize::MAX), Some((6, 60)));
         assert_eq!(c.last_len(), 6);
         assert_eq!(c.len(), 2);
+        assert_eq!(c.resident_bytes(), 8 + 60);
     }
 
     #[test]
     fn checkpoints_floor_and_truncate() {
-        let mut c: Checkpoints<u32> = Checkpoints::new(2);
+        let mut c: Checkpoints<u64> = Checkpoints::new(2);
         for len in 1..=10usize {
-            c.record(len, &(len as u32 * 10));
+            record(&mut c, len, len as u64 * 10);
         }
         assert_eq!(c.floor(1), None);
-        assert_eq!(c.floor(5), Some((4, &40)));
-        assert_eq!(c.floor(100), Some((10, &100)));
+        assert_eq!(c.floor(5), Some((4, 40)));
+        assert_eq!(c.floor(100), Some((10, 100)));
         c.truncate(5);
-        assert_eq!(c.last(), Some((4, &40)));
+        assert_eq!(c.floor(usize::MAX), Some((4, 40)));
+        assert_eq!(c.resident_bytes(), 2 * 8);
         c.truncate(0);
         assert!(c.is_empty());
         assert_eq!(c.floor(100), None);
@@ -1284,50 +1197,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn checkpoints_reject_zero_interval() {
         let _ = Checkpoints::<u32>::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "anchor spacing must be positive")]
-    fn checkpoints_reject_zero_anchor_spacing() {
-        let _ = Checkpoints::<u32>::with_anchor_spacing(4, 0);
-    }
-
-    #[test]
-    fn anchor_spacing_prunes_to_anchors_plus_tip() {
-        let mut c: Checkpoints<u32> = Checkpoints::with_anchor_spacing(1, 3);
-        assert_eq!(c.anchor_spacing(), 3);
-        for len in 1..=7usize {
-            assert!(c.record(len, &(len as u32 * 10)));
-        }
-        // Records 3 and 6 are anchors; record 7 is the retained tip.
-        let kept: Vec<usize> = (1..=7).filter_map(|l| c.floor(l).map(|(k, _)| k)).collect();
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.last(), Some((7, &70)));
-        assert_eq!(kept, vec![3, 3, 3, 6, 7], "floors resolve to anchors");
-        // Every surviving point still maps to the state recorded at
-        // that depth — pruning drops points, never corrupts them.
-        assert_eq!(c.floor(5), Some((3, &30)));
-        // Truncation restarts the anchor phase at the surviving tip.
-        c.truncate(6);
-        assert_eq!(c.last(), Some((6, &60)));
-        assert!(c.record(7, &70));
-        assert_eq!(c.len(), 3, "post-truncate tip kept as an anchor");
-    }
-
-    #[test]
-    fn anchor_spacing_one_is_byte_identical_to_snapshots() {
-        let mut plain: Checkpoints<u32> = Checkpoints::new(2);
-        let mut delta: Checkpoints<u32> = Checkpoints::with_anchor_spacing(2, 1);
-        for len in 1..=20usize {
-            assert_eq!(
-                plain.record(len, &(len as u32)),
-                delta.record(len, &(len as u32))
-            );
-        }
-        for limit in 0..=21 {
-            assert_eq!(plain.floor(limit), delta.floor(limit));
-        }
-        assert_eq!(plain.len(), delta.len());
     }
 
     #[test]
@@ -1509,77 +1378,77 @@ mod tests {
         }
     }
 
-    fn spilling(hot: usize, spacing: usize, every: usize) -> SpillingCheckpoints<u64> {
-        SpillingCheckpoints::new(Box::new(shard_store::MemStore::new()), every, hot, spacing)
+    fn cold(hot: usize, spacing: usize, every: usize) -> Checkpoints<u64> {
+        Checkpoints::with_cold_tier(Box::new(shard_store::MemStore::new()), every, hot, spacing)
     }
 
     #[test]
-    fn spilling_with_spacing_one_matches_plain_checkpoints() {
-        let mut plain: Checkpoints<u64> = Checkpoints::new(2);
-        let mut spill = spilling(3, 1, 2);
+    fn cold_tier_with_spacing_one_matches_hot_only() {
+        let mut hot = Checkpoints::new(2);
+        let mut tiered = cold(3, 1, 2);
         for len in 1..=40usize {
             assert_eq!(
-                plain.record(len, &(len as u64 * 10)),
-                spill.record(len, &(len as u64 * 10), 8)
+                record(&mut hot, len, len as u64 * 10),
+                record(&mut tiered, len, len as u64 * 10)
             );
         }
-        assert!(spill.spilled_anchors() > 0, "eviction must have spilled");
-        assert!(spill.resident_bytes() <= 3 * 8, "hot tier bounded");
+        assert!(tiered.spilled_anchors() > 0, "eviction must have spilled");
+        assert_eq!(hot.spilled_anchors(), 0);
+        assert!(tiered.resident_bytes() <= 3 * 8, "hot tier bounded");
+        assert_eq!(hot.len(), tiered.len());
         for limit in 0..=41 {
-            assert_eq!(
-                plain.floor(limit).map(|(l, s)| (l, *s)),
-                spill.floor_owned(limit),
-                "limit {limit}"
-            );
+            assert_eq!(hot.floor(limit), tiered.floor(limit), "limit {limit}");
         }
-        assert_eq!(plain.last_len(), spill.last_len());
-        assert_eq!(
-            plain.last().map(|(l, s)| (l, *s)),
-            spill.last_owned(),
-            "deepest point loads back from the cold tier too"
-        );
+        assert_eq!(hot.last_len(), tiered.last_len());
+        // A clone of a cold-tiered sequence starts empty and hot-only.
+        let mut clone = tiered.clone();
+        assert!(clone.is_empty() && clone.store_mut().is_none());
+        assert_eq!(clone.interval(), 2);
+        assert_eq!(hot.clone().floor(41), Some((40, 400)));
     }
 
     #[test]
-    fn spilling_truncate_then_readvance_never_collides() {
-        let mut spill = spilling(1, 1, 1);
+    fn cold_tier_truncate_then_readvance_never_collides() {
+        let mut c = cold(1, 1, 1);
         for len in 1..=10usize {
-            spill.record(len, &(len as u64), 8);
+            record(&mut c, len, len as u64);
         }
         // Undo to depth 4, then redo with *different* states at the
         // same depths: the fresh anchors must win over the orphans.
-        spill.truncate(4);
-        assert_eq!(spill.last_len(), 4);
+        c.truncate(4);
+        assert_eq!(c.last_len(), 4);
+        assert_eq!(c.resident_bytes(), 0, "the hot point went with the undo");
+        assert_eq!(c.floor(usize::MAX), Some((4, 4)), "tip loads from cold");
         for len in 5..=12usize {
-            spill.record(len, &(len as u64 + 100), 8);
+            record(&mut c, len, len as u64 + 100);
         }
-        assert_eq!(spill.floor_owned(7), Some((7, 107)));
-        assert_eq!(spill.floor_owned(4), Some((4, 4)));
-        assert_eq!(spill.last_owned(), Some((12, 112)));
+        assert_eq!(c.floor(7), Some((7, 107)));
+        assert_eq!(c.floor(4), Some((4, 4)));
+        assert_eq!(c.floor(usize::MAX), Some((12, 112)));
     }
 
     #[test]
-    fn spilling_floor_degrades_past_lost_anchors() {
+    fn cold_floor_degrades_past_lost_anchors() {
         // Spacing 3 drops two of every three evicted points entirely;
         // floors fall back to the deepest surviving point.
-        let mut spill = spilling(2, 3, 1);
+        let mut c = cold(2, 3, 1);
         for len in 1..=20usize {
-            spill.record(len, &(len as u64), 8);
+            record(&mut c, len, len as u64);
         }
         for limit in 0..=21 {
-            match spill.floor_owned(limit) {
+            match c.floor(limit) {
                 Some((l, s)) => {
                     assert!(l <= limit && s == l as u64);
                 }
                 None => assert!(limit < 3, "shallow limits may have no anchor"),
             }
         }
-        // Crashing the spill store to nothing degrades floors to the
+        // Crashing the cold store to nothing degrades floors to the
         // hot tier instead of failing.
-        spill.store_mut().crash(0).unwrap();
-        assert_eq!(spill.floor_owned(18), None, "cold anchors gone");
-        assert_eq!(spill.floor_owned(19), Some((19, 19)), "hot tier intact");
-        assert_eq!(spill.last_owned(), Some((20, 20)));
+        c.store_mut().unwrap().crash(0).unwrap();
+        assert_eq!(c.floor(18), None, "cold anchors gone");
+        assert_eq!(c.floor(19), Some((19, 19)), "hot tier intact");
+        assert_eq!(c.floor(usize::MAX), Some((20, 20)));
     }
 
     fn mixed_timed_execution(n: usize) -> TimedExecution<Trace> {
@@ -1695,6 +1564,19 @@ mod tests {
         let mut se = StreamingExecution::<Trace>::reopen(store, len);
         let app = Trace;
         let err = se.final_state(&app).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn streaming_execution_rejects_an_overlong_miss_list() {
+        // A row claiming u32::MAX missed indices but carrying none must
+        // be rejected as malformed, not trusted as an allocation size.
+        let mut store: Box<dyn shard_store::Store + Send> = Box::new(shard_store::MemStore::new());
+        let mut payload = 3u64.to_be_bytes().to_vec();
+        payload.extend_from_slice(&u32::MAX.to_be_bytes());
+        shard_store::append_chunked(&mut *store, 0, &payload).unwrap();
+        let mut se = StreamingExecution::<Trace>::reopen(store, 1);
+        let err = se.for_each_row(|_, _| {}).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

@@ -27,12 +27,9 @@
 //!
 //! The [`StreamChecker`] wraps the three monitors behind a *window*
 //! abstraction: every `window` rows it emits a [`WindowVerdict`] (the
-//! cumulative verdicts at that boundary) and snapshots its own state
-//! into a [`Checkpoints`] chain. Snapshots are O(1) because the missers
-//! index lives in a [`PMap`] (the structurally shared treap of PR 6),
-//! so the chain is a delta chain and [`StreamChecker::rewind`] can
-//! resume the checker from any retained boundary without re-reading
-//! the stream from the start.
+//! cumulative verdicts at that boundary). The missers index lives in a
+//! [`PMap`] (the structurally shared treap), so cloning a checker is
+//! O(1).
 //!
 //! Verdicts are **bit-identical** to the offline checkers: feeding
 //! [`rows_from_execution`] through a checker of any window size yields
@@ -50,7 +47,6 @@ use crate::app::Application;
 use crate::conditions::TimedExecution;
 use crate::execution::TxnIndex;
 use crate::pmap::PMap;
-use crate::replay::Checkpoints;
 use shard_pool::PoolConfig;
 
 /// Schema tag stamped into serialized certificates.
@@ -60,12 +56,6 @@ pub const CERT_SCHEMA: &str = "shard-cert/v1";
 /// above it, [`rows_from_execution`] partitions the row range across
 /// the pool (same threshold as the offline checkers).
 const PAR_THRESHOLD: usize = 1024;
-
-/// How many window-boundary snapshots yield one long-term anchor in the
-/// checker's [`Checkpoints`] chain (the newest boundary is always
-/// retained). Snapshots are O(1) via [`PMap`] sharing, so this only
-/// bounds chain length, not correctness.
-const ANCHOR_SPACING: usize = 8;
 
 /// Per-process stream metrics, resolved once (same pattern as the
 /// replay engine's counters).
@@ -243,46 +233,6 @@ impl Certificate {
     }
 }
 
-/// The cumulative monitor state — everything the three online checkers
-/// know after some prefix of the stream. Cloning is O(1): the missers
-/// index is a structurally shared [`PMap`], the rest scalars. This is
-/// what the window [`Checkpoints`] chain snapshots.
-#[derive(Clone, Debug)]
-struct MonitorState {
-    /// Rows consumed so far.
-    rows: usize,
-    /// No transitivity violation seen yet.
-    transitive: bool,
-    /// First violation in (row, missed, witness)-scan order.
-    first_violation: Option<(TxnIndex, TxnIndex, TxnIndex)>,
-    /// For each transaction `x` missed by anyone: the strictly
-    /// increasing rows whose miss sets contained `x`.
-    missers: PMap<TxnIndex, Vec<TxnIndex>>,
-    /// Largest miss-set size so far (`max_missed` of the prefix).
-    max_missed: usize,
-    /// First row attaining `max_missed` (meaningful when > 0).
-    worst_row: TxnIndex,
-    /// Minimal delay bound of the prefix (0 = all prefixes complete).
-    delay_bound: u64,
-    /// First `(seer, missed)` pair attaining `delay_bound`.
-    delay_witness: Option<(TxnIndex, TxnIndex)>,
-}
-
-impl MonitorState {
-    fn fresh() -> Self {
-        MonitorState {
-            rows: 0,
-            transitive: true,
-            first_violation: None,
-            missers: PMap::new(),
-            max_missed: 0,
-            worst_row: 0,
-            delay_bound: 0,
-            delay_witness: None,
-        }
-    }
-}
-
 /// The cumulative verdicts at one window boundary: after `end` rows,
 /// over the whole stream so far (not just the window's rows — a
 /// violation in window 2 keeps every later verdict false, exactly like
@@ -353,20 +303,30 @@ impl StreamReport {
 ///
 /// State is O(total misses + rows·8B): the missers index holds one
 /// entry per (row, missed predecessor) pair and the time vector one
-/// `u64` per row; windows bound *latency to a verdict*, while the
-/// [`Checkpoints`] chain of O(1) state snapshots (every boundary, one
-/// long-term anchor per `ANCHOR_SPACING` = 8) makes the checker
-/// resumable: [`StreamChecker::rewind`] restores a retained boundary
-/// so the stream can be re-fed from there instead of from row 0.
+/// `u64` per row; windows bound *latency to a verdict*.
 #[derive(Clone, Debug)]
 pub struct StreamChecker {
     window: usize,
-    state: MonitorState,
-    /// Initiation time of every consumed row (append-only; truncated
-    /// exactly on rewind).
+    /// Rows consumed so far.
+    rows: usize,
+    /// No transitivity violation seen yet.
+    transitive: bool,
+    /// First violation in (row, missed, witness)-scan order.
+    first_violation: Option<(TxnIndex, TxnIndex, TxnIndex)>,
+    /// For each transaction `x` missed by anyone: the strictly
+    /// increasing rows whose miss sets contained `x`. A structurally
+    /// shared [`PMap`], so cloning the checker is O(1).
+    missers: PMap<TxnIndex, Vec<TxnIndex>>,
+    /// Largest miss-set size so far (`max_missed` of the prefix).
+    max_missed: usize,
+    /// First row attaining `max_missed` (meaningful when > 0).
+    worst_row: TxnIndex,
+    /// Minimal delay bound of the prefix (0 = all prefixes complete).
+    delay_bound: u64,
+    /// First `(seer, missed)` pair attaining `delay_bound`.
+    delay_witness: Option<(TxnIndex, TxnIndex)>,
+    /// Initiation time of every consumed row (append-only).
     times: Vec<u64>,
-    /// O(1) snapshots of `state` at window boundaries.
-    marks: Checkpoints<MonitorState>,
     verdicts: Vec<WindowVerdict>,
 }
 
@@ -380,16 +340,22 @@ impl StreamChecker {
         assert!(window > 0, "a verdict window must hold at least one row");
         StreamChecker {
             window,
-            state: MonitorState::fresh(),
+            rows: 0,
+            transitive: true,
+            first_violation: None,
+            missers: PMap::new(),
+            max_missed: 0,
+            worst_row: 0,
+            delay_bound: 0,
+            delay_witness: None,
             times: Vec::new(),
-            marks: Checkpoints::with_anchor_spacing(window, ANCHOR_SPACING),
             verdicts: Vec::new(),
         }
     }
 
     /// Rows consumed so far.
     pub fn rows(&self) -> usize {
-        self.state.rows
+        self.rows
     }
 
     /// The configured window size.
@@ -401,7 +367,7 @@ impl StreamChecker {
     /// running verdict, readable between windows without building a
     /// report.
     pub fn transitive_so_far(&self) -> bool {
-        self.state.transitive
+        self.transitive
     }
 
     /// Consumes the next row of the serial order; returns the
@@ -415,7 +381,7 @@ impl StreamChecker {
     /// CLI validates untrusted traces before pushing).
     pub fn push(&mut self, row: &StreamRow) -> Option<WindowVerdict> {
         assert_eq!(
-            row.index, self.state.rows,
+            row.index, self.rows,
             "stream rows must arrive in serial order"
         );
         assert!(
@@ -424,34 +390,33 @@ impl StreamChecker {
             row.index
         );
         let i = row.index;
-        let s = &mut self.state;
 
         // k-completeness: the miss-set size IS missed_count(i).
-        if row.missed.len() > s.max_missed {
-            s.max_missed = row.missed.len();
-            s.worst_row = i;
+        if row.missed.len() > self.max_missed {
+            self.max_missed = row.missed.len();
+            self.worst_row = i;
         }
 
         // Delay bound: missing x is tolerable only for t > timeᵢ − timeₓ.
         for &x in &row.missed {
             let bound = row.time.saturating_sub(self.times[x]) + 1;
-            if bound > s.delay_bound {
-                s.delay_bound = bound;
-                s.delay_witness = Some((i, x));
+            if bound > self.delay_bound {
+                self.delay_bound = bound;
+                self.delay_witness = Some((i, x));
             }
         }
 
         // Transitivity: for each missed x, scan (x, i) for a witness j
         // outside both Mᵢ and missers(x) — such a j is in 𝒫ᵢ and saw x.
         for (pos, &x) in row.missed.iter().enumerate() {
-            if s.first_violation.is_some() {
+            if self.first_violation.is_some() {
                 break;
             }
             let empty: &[TxnIndex] = &[];
-            let mx: &[TxnIndex] = s.missers.get(&x).map_or(empty, Vec::as_slice);
+            let mx: &[TxnIndex] = self.missers.get(&x).map_or(empty, Vec::as_slice);
             if let Some(j) = gap_witness(&row.missed[pos + 1..], mx, x, i) {
-                s.transitive = false;
-                s.first_violation = Some((x, j, i));
+                self.transitive = false;
+                self.first_violation = Some((x, j, i));
                 if shard_obs::enabled() {
                     stream_metrics().violations.inc();
                 }
@@ -460,33 +425,32 @@ impl StreamChecker {
 
         // Maintain the missers index (after the check: a row is never
         // its own witness). `get_mut` appends in place — the list is
-        // only copied when a window snapshot still shares it.
+        // only copied when a clone of the checker still shares it.
         for &x in &row.missed {
-            match s.missers.get_mut(&x) {
+            match self.missers.get_mut(&x) {
                 Some(list) => list.push(i),
                 None => {
-                    s.missers.insert(x, vec![i]);
+                    self.missers.insert(x, vec![i]);
                 }
             }
         }
 
         self.times.push(row.time);
-        s.rows += 1;
+        self.rows += 1;
         if shard_obs::enabled() {
             stream_metrics().rows.inc();
         }
-        if !s.rows.is_multiple_of(self.window) {
+        if !self.rows.is_multiple_of(self.window) {
             return None;
         }
         let verdict = WindowVerdict {
             window: self.verdicts.len(),
-            start: s.rows - self.window,
-            end: s.rows,
-            transitive: s.transitive,
-            max_missed: s.max_missed,
-            delay_bound: s.delay_bound,
+            start: self.rows - self.window,
+            end: self.rows,
+            transitive: self.transitive,
+            max_missed: self.max_missed,
+            delay_bound: self.delay_bound,
         };
-        self.marks.record(s.rows, &self.state);
         self.verdicts.push(verdict);
         if shard_obs::enabled() {
             stream_metrics().windows.inc();
@@ -494,47 +458,30 @@ impl StreamChecker {
         Some(verdict)
     }
 
-    /// Rewinds the checker to the deepest retained window boundary at
-    /// or below `keep_rows` and returns the row count it now holds
-    /// (0 = fresh). Re-feed the stream from that index to continue —
-    /// the resumed checker is indistinguishable from one that never
-    /// went past the boundary.
-    pub fn rewind(&mut self, keep_rows: usize) -> usize {
-        self.marks.truncate(keep_rows);
-        self.state = match self.marks.last() {
-            Some((_, snapshot)) => snapshot.clone(),
-            None => MonitorState::fresh(),
-        };
-        self.times.truncate(self.state.rows);
-        self.verdicts.truncate(self.state.rows / self.window);
-        self.state.rows
-    }
-
     /// The verdicts and certificates for everything consumed so far.
     pub fn report(&self) -> StreamReport {
-        let s = &self.state;
         let mut certificates = Vec::new();
-        if let Some((low, mid, top)) = s.first_violation {
+        if let Some((low, mid, top)) = self.first_violation {
             certificates.push(Certificate::Transitivity { low, mid, top });
         }
-        if s.max_missed > 0 {
+        if self.max_missed > 0 {
             certificates.push(Certificate::KCompleteness {
-                index: s.worst_row,
-                missed: s.max_missed,
+                index: self.worst_row,
+                missed: self.max_missed,
             });
         }
-        if let Some((seer, missed)) = s.delay_witness {
+        if let Some((seer, missed)) = self.delay_witness {
             certificates.push(Certificate::DelayBound {
                 seer,
                 missed,
-                bound: s.delay_bound,
+                bound: self.delay_bound,
             });
         }
         StreamReport {
-            rows: s.rows,
-            transitive: s.transitive,
-            max_missed: s.max_missed,
-            min_delay_bound: s.delay_bound,
+            rows: self.rows,
+            transitive: self.transitive,
+            max_missed: self.max_missed,
+            min_delay_bound: self.delay_bound,
             verdicts: self.verdicts.clone(),
             certificates,
         }
@@ -771,49 +718,6 @@ mod tests {
         assert!(!report.verdicts[2].transitive, "verdicts are cumulative");
         assert_eq!(report.verdicts[2].start, 4);
         assert_eq!(report.verdicts[2].end, 6);
-    }
-
-    #[test]
-    fn rewind_restores_a_boundary_exactly() {
-        // 20 rows, window 2: records at 2, 4, …, 20. The delta chain
-        // retains every ANCHOR_SPACING-th record (len 16) plus the tip
-        // (len 20), so rewinding to 17 resumes from 16.
-        let n = 20usize;
-        let mut b = ExecutionBuilder::new(&Trivial);
-        for i in 0..n {
-            // Rows 5 and 11 miss a predecessor; the rest see everything.
-            let prefix: Vec<usize> = match i {
-                5 => (0..i).filter(|&j| j != 2).collect(),
-                11 => (0..i).filter(|&j| j != 7).collect(),
-                _ => (0..i).collect(),
-            };
-            b.push((), prefix).unwrap();
-        }
-        let te = TimedExecution::new(b.finish(), (0..n as u64).map(|t| t * 3).collect());
-        let rows = rows_of(&te);
-        let mut checker = StreamChecker::new(2);
-        for row in &rows {
-            checker.push(row);
-        }
-        let full = checker.report();
-        assert!(!full.transitive, "rows 5/11 both have witnesses");
-        // Rewind to 17 rows: the deepest retained boundary is 16.
-        let resumed_at = checker.rewind(17);
-        assert_eq!(resumed_at, 16);
-        assert_eq!(checker.rows(), 16);
-        for row in &rows[resumed_at..] {
-            checker.push(row);
-        }
-        let replayed = checker.report();
-        assert_eq!(replayed.rows, full.rows);
-        assert_eq!(replayed.transitive, full.transitive);
-        assert_eq!(replayed.max_missed, full.max_missed);
-        assert_eq!(replayed.min_delay_bound, full.min_delay_bound);
-        assert_eq!(replayed.verdicts, full.verdicts);
-        assert_eq!(replayed.certificates, full.certificates);
-        // Rewind below the first retained point = fresh checker.
-        assert_eq!(checker.rewind(1), 0);
-        assert_eq!(checker.rows(), 0);
     }
 
     #[test]

@@ -241,7 +241,6 @@ impl FaultStats {
 }
 
 /// Everything a kernel run produces, whatever the propagation strategy.
-/// `ClusterReport`, `GossipReport` and `PartialReport` are aliases.
 #[derive(Clone, Debug)]
 pub struct RunReport<A: Application> {
     /// Executed transactions sorted by timestamp (the serial order).

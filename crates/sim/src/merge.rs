@@ -13,92 +13,18 @@
 //! **checkpoint** and replays — the optimization of \[BK\]/\[SKS\] ("using
 //! history information to process delayed database updates"). The
 //! checkpoint sequence is the same [`Checkpoints`] structure the core
-//! replay engine uses ([`shard_core::replay`]); its interval is the
-//! ablation knob of experiment E11. Updates are held behind [`Arc`] so a
+//! replay engine uses ([`shard_core::replay`]), optionally with a
+//! store-backed cold tier; its interval is the ablation knob of
+//! experiment E11. Updates are held behind [`Arc`] so a
 //! broadcast fans an update out to peers by reference count, not by deep
 //! clone. [`MergeMetrics`] counts appends, insertions and replayed
 //! updates so the undo/redo volume is measurable.
 
 use crate::clock::Timestamp;
 use crate::known::KnownSet;
-use shard_core::{Application, Checkpoints, SpillingCheckpoints};
+use shard_core::replay::note_state_clone;
+use shard_core::{Application, Checkpoints};
 use std::sync::Arc;
-
-/// Where a [`MergeLog`]'s checkpoint states live: all in RAM (the
-/// default), or two-tiered with cold anchors spilled through a
-/// [`Store`](shard_store::Store) ([`MergeLog::enable_spilling`]).
-///
-/// Both variants answer the same three questions — record a point,
-/// drop points past an undo, find the deepest point under a limit —
-/// and checkpoints are a pure cache, so the merge verdicts are
-/// identical whichever tier holds them; only replay depth (and thus
-/// work) differs when a spilled anchor is missing or unreadable.
-enum CkptTier<A: Application> {
-    Mem(Checkpoints<A::State>),
-    Spill(SpillingCheckpoints<A::State>),
-}
-
-impl<A: Application> CkptTier<A> {
-    fn interval(&self) -> usize {
-        match self {
-            CkptTier::Mem(c) => c.interval(),
-            CkptTier::Spill(c) => c.interval(),
-        }
-    }
-
-    fn record(&mut self, app: &A, len: usize, state: &A::State) -> bool {
-        match self {
-            CkptTier::Mem(c) => {
-                let recorded = c.record(len, state);
-                if recorded {
-                    shard_core::replay::note_state_clone(app.state_size_hint(state));
-                }
-                recorded
-            }
-            CkptTier::Spill(c) => c.record(len, state, app.state_size_hint(state)),
-        }
-    }
-
-    fn truncate(&mut self, keep: usize) {
-        match self {
-            CkptTier::Mem(c) => c.truncate(keep),
-            CkptTier::Spill(c) => c.truncate(keep),
-        }
-    }
-
-    fn last_owned(&mut self, app: &A) -> Option<(usize, A::State)> {
-        match self {
-            CkptTier::Mem(c) => c.last().map(|(len, s)| {
-                shard_core::replay::note_state_clone(app.state_size_hint(s));
-                (len, s.clone())
-            }),
-            CkptTier::Spill(c) => c.last_owned(),
-        }
-    }
-}
-
-impl<A: Application> Clone for CkptTier<A> {
-    /// Cloning a spilling tier yields a fresh in-memory tier at the
-    /// same interval — the spill store is single-owner, and checkpoints
-    /// are a rebuildable cache, so the clone starts cold but answers
-    /// identically (the same convention as `Execution::clone` resetting
-    /// its replay cache).
-    fn clone(&self) -> Self {
-        match self {
-            CkptTier::Mem(c) => CkptTier::Mem(c.clone()),
-            CkptTier::Spill(c) => CkptTier::Mem(Checkpoints::new(c.interval())),
-        }
-    }
-}
-
-impl<A: Application> std::fmt::Debug for CkptTier<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CkptTier::Mem(c) => f.debug_tuple("Mem").field(c).finish(),
-            CkptTier::Spill(c) => f.debug_tuple("Spill").field(c).finish(),
-        }
-    }
-}
 
 /// Global merge metrics across every node of every simulation in the
 /// process, resolved once: `merge.appends` / `merge.out_of_order` /
@@ -204,7 +130,7 @@ impl MergeMetrics {
 pub struct MergeLog<A: Application> {
     entries: Vec<(Timestamp, Arc<A::Update>)>,
     state: A::State,
-    checkpoints: CkptTier<A>,
+    checkpoints: Checkpoints<A::State>,
     metrics: MergeMetrics,
     /// The entry timestamps as a persistent set, maintained merge by
     /// merge so [`MergeLog::known_set`] snapshots it in O(1).
@@ -217,8 +143,8 @@ pub struct MergeLog<A: Application> {
 }
 
 impl<A: Application> Clone for MergeLog<A> {
-    /// Clones the log and state; a spilling checkpoint tier is reset to
-    /// a cold in-memory tier (see `CkptTier::clone`).
+    /// Clones the log and state; a cold-tiered checkpoint sequence
+    /// clones to an empty hot-only one (see [`Checkpoints`]'s `Clone`).
     fn clone(&self) -> Self {
         MergeLog {
             entries: self.entries.clone(),
@@ -244,17 +170,17 @@ impl<A: Application> MergeLog<A> {
         MergeLog {
             entries: Vec::new(),
             state: app.initial_state(),
-            checkpoints: CkptTier::Mem(Checkpoints::new(checkpoint_every)),
+            checkpoints: Checkpoints::new(checkpoint_every),
             metrics: MergeMetrics::default(),
             known: KnownSet::new(),
             arrivals: Vec::new(),
         }
     }
 
-    /// Moves the checkpoint tier out of core: the newest `hot_points`
+    /// Moves the checkpoints out of core: the newest `hot_points`
     /// checkpoints stay resident and every `spill_spacing`-th older
     /// point is serialized through `store` as a cold anchor (see
-    /// [`SpillingCheckpoints`]). Existing in-memory checkpoints are
+    /// [`Checkpoints::with_cold_tier`]). Existing checkpoints are
     /// dropped (they are a cache); the current state is re-recorded as
     /// the first point of the new tier where the interval allows, so a
     /// straggler arriving right after the switch replays from the tip,
@@ -269,20 +195,15 @@ impl<A: Application> MergeLog<A> {
     ) where
         A::State: shard_store::Codec,
     {
-        let mut spill = SpillingCheckpoints::new(
+        self.checkpoints = Checkpoints::with_cold_tier(
             store,
             self.checkpoints.interval(),
             hot_points,
             spill_spacing,
         );
         if !self.entries.is_empty() {
-            spill.record(
-                self.entries.len(),
-                &self.state,
-                app.state_size_hint(&self.state),
-            );
+            record_checkpoint(&mut self.checkpoints, app, self.entries.len(), &self.state);
         }
-        self.checkpoints = CkptTier::Spill(spill);
     }
 
     /// The spill store behind the checkpoint tier, if
@@ -290,10 +211,7 @@ impl<A: Application> MergeLog<A> {
     /// exposed so fault harnesses can crash the anchor store under a
     /// live log and check merges still converge.
     pub fn spill_store_mut(&mut self) -> Option<&mut (dyn shard_store::Store + Send)> {
-        match &mut self.checkpoints {
-            CkptTier::Mem(_) => None,
-            CkptTier::Spill(c) => Some(c.store_mut()),
-        }
+        self.checkpoints.store_mut()
     }
 
     /// The current merged state — "each node's copy of the database
@@ -527,28 +445,11 @@ impl<A: Application> MergeLog<A> {
             "every mid entry sorts before old_last"
         );
 
-        // One undo/redo repair for the whole group, recreating the
-        // checkpoints the splice invalidated (same cadence as
-        // `insert_and_replay` — for a single straggler the two paths
-        // are identical, update for update).
-        self.checkpoints.truncate(p0);
-        let (base_len, mut s) = match self.checkpoints.last_owned(app) {
-            Some((len, s)) => (len, s),
-            None => (0, app.initial_state()),
-        };
-        let mut replayed = 0u64;
-        for i in base_len..self.entries.len() {
-            app.apply_in_place(&mut s, &self.entries[i].1);
-            replayed += 1;
-            if i + 1 < self.entries.len() {
-                self.checkpoints.record(app, i + 1, &s);
-            }
-        }
-        self.state = s;
+        // One undo/redo repair for the whole group — the same repair
+        // `insert_and_replay` runs, so for a single straggler the two
+        // paths are identical, update for update.
         self.metrics.duplicates += duplicates;
         self.metrics.out_of_order += inserted;
-        self.metrics.replayed += replayed;
-
         if shard_obs::enabled() {
             let obs = merge_obs();
             if duplicates > 0 {
@@ -557,14 +458,8 @@ impl<A: Application> MergeLog<A> {
             if inserted > 0 {
                 obs.out_of_order.add(inserted);
             }
-            obs.replay_depth
-                .record((self.entries.len() - base_len) as u64);
-            if base_len > 0 {
-                obs.ckpt_hits.inc();
-            } else {
-                obs.ckpt_misses.inc();
-            }
         }
+        let replayed = self.repair(app, p0);
 
         // The run's entries past the old log end extend it in timestamp
         // order — the ordinary append path, exactly as if merged one at
@@ -615,8 +510,7 @@ impl<A: Application> MergeLog<A> {
         if shard_obs::enabled() {
             merge_obs().appends.inc();
         }
-        self.checkpoints
-            .record(app, self.entries.len(), &self.state);
+        record_checkpoint(&mut self.checkpoints, app, self.entries.len(), &self.state);
         MergeOutcome::Appended
     }
 
@@ -632,36 +526,60 @@ impl<A: Application> MergeLog<A> {
         self.entries.insert(pos, (ts, update));
         self.known.insert(ts);
         self.arrivals.push(ts);
-        // Checkpoints past the insertion point are invalidated.
-        self.checkpoints.truncate(pos);
-        let (base_len, mut s) = match self.checkpoints.last_owned(app) {
-            Some((len, s)) => (len, s),
+        if shard_obs::enabled() {
+            merge_obs().out_of_order.inc();
+        }
+        let replayed = self.repair(app, pos);
+        MergeOutcome::OutOfOrder { replayed }
+    }
+
+    /// The undo/redo repair after entries were inserted at or past
+    /// `from`: drop the checkpoints the insertion invalidated, resume
+    /// from the deepest survivor, and replay to the log end while
+    /// recreating them, so the next straggler replays only its own
+    /// tail. Returns the updates re-applied.
+    fn repair(&mut self, app: &A, from: usize) -> u64 {
+        self.checkpoints.truncate(from);
+        let (base_len, mut s) = match self.checkpoints.floor(from) {
+            Some((len, s)) => {
+                note_state_clone(app.state_size_hint(&s));
+                (len, s)
+            }
             None => (0, app.initial_state()),
         };
-        let mut replayed = 0u64;
-        for i in base_len..self.entries.len() {
+        let len = self.entries.len();
+        for i in base_len..len {
             app.apply_in_place(&mut s, &self.entries[i].1);
-            replayed += 1;
-            // Recreate the checkpoints the insertion invalidated
-            // so the next straggler replays only its own tail.
-            if i + 1 < self.entries.len() {
-                self.checkpoints.record(app, i + 1, &s);
+            if i + 1 < len {
+                record_checkpoint(&mut self.checkpoints, app, i + 1, &s);
             }
         }
-        self.metrics.replayed += replayed;
         self.state = s;
+        let replayed = (len - base_len) as u64;
+        self.metrics.replayed += replayed;
         if shard_obs::enabled() {
             let obs = merge_obs();
-            obs.out_of_order.inc();
-            obs.replay_depth
-                .record((self.entries.len() - base_len) as u64);
+            obs.replay_depth.record(replayed);
             if base_len > 0 {
                 obs.ckpt_hits.inc();
             } else {
                 obs.ckpt_misses.inc();
             }
         }
-        MergeOutcome::OutOfOrder { replayed }
+        replayed
+    }
+}
+
+/// Records a checkpoint of a merged state, accounting the state clone
+/// (shared with [`crate::StreamingMerge`]'s anchors).
+pub(crate) fn record_checkpoint<A: Application>(
+    checkpoints: &mut Checkpoints<A::State>,
+    app: &A,
+    len: usize,
+    state: &A::State,
+) {
+    if let Some(bytes) = checkpoints.record(len, state, |s| app.state_size_hint(s)) {
+        note_state_clone(bytes);
     }
 }
 

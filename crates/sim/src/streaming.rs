@@ -14,8 +14,8 @@
 //! arrival, and the transaction *seals*.
 //!
 //! Sealing folds the update into one in-place state (never a log of
-//! states), records cold anchors through a
-//! [`SpillingCheckpoints`] tier, appends the row to a store-backed
+//! states), records anchors into a cold-tiered [`Checkpoints`]
+//! sequence, appends the row to a store-backed
 //! [`StreamingExecution`], and feeds the online §3 window checker —
 //! so a 10⁷-transaction run holds one application state, a
 //! `capacity`-sized window, and the checker's monitor state in RAM,
@@ -23,8 +23,9 @@
 //! byte-identical re-checking. Experiment E25 drives this end to end.
 
 use crate::clock::Timestamp;
+use crate::merge::record_checkpoint;
 use shard_core::{
-    Application, SpillingCheckpoints, StreamChecker, StreamReport, StreamRow, StreamingExecution,
+    Application, Checkpoints, StreamChecker, StreamReport, StreamRow, StreamingExecution,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -45,7 +46,7 @@ pub struct StreamingMerge<A: Application> {
     window: BTreeMap<Timestamp, Pending<A::Update>>,
     capacity: usize,
     state: A::State,
-    anchors: SpillingCheckpoints<A::State>,
+    anchors: Checkpoints<A::State>,
     sink: StreamingExecution<A>,
     checker: StreamChecker,
     /// Rows sealed so far — the serial index of the next seal.
@@ -87,7 +88,7 @@ where
             window: BTreeMap::new(),
             capacity,
             state: app.initial_state(),
-            anchors: SpillingCheckpoints::new(
+            anchors: Checkpoints::with_cold_tier(
                 anchor_store,
                 checkpoint_every,
                 hot_points,
@@ -166,8 +167,7 @@ where
         app.apply_in_place(&mut self.state, &p.update);
         self.sealed = i + 1;
         self.last_sealed = Some(ts);
-        self.anchors
-            .record(self.sealed, &self.state, app.state_size_hint(&self.state));
+        record_checkpoint(&mut self.anchors, app, self.sealed, &self.state);
         self.sink.push(p.time, &missed, &p.update)?;
         self.checker.push(&StreamRow {
             index: i,
@@ -236,13 +236,7 @@ where
     ///
     /// Panics if transactions are still pending — call
     /// [`StreamingMerge::finish`] first.
-    pub fn into_parts(
-        self,
-    ) -> (
-        StreamingExecution<A>,
-        A::State,
-        SpillingCheckpoints<A::State>,
-    ) {
+    pub fn into_parts(self) -> (StreamingExecution<A>, A::State, Checkpoints<A::State>) {
         assert!(
             self.window.is_empty(),
             "finish() the stream before tearing it down"

@@ -1,10 +1,10 @@
 //! Property tests for the O(delta) state layer: `apply_in_place` must
 //! agree with the pure `apply` on every application, the persistent
 //! [`PMap`] must behave exactly like a `BTreeMap` oracle (including
-//! across O(1) clones taken mid-sequence), and the delta-chain
-//! [`Checkpoints`] (anchor spacing > 1) must resume replays to states
-//! byte-identical to the retain-everything snapshot implementation —
-//! at pool sizes 1, 2 and 7 for the execution-level cache.
+//! across O(1) clones taken mid-sequence), [`Checkpoints`] — hot-only
+//! or with a crashing cold tier — must resume replays to the true
+//! prefix states, and the execution-level cache must answer alike at
+//! pool sizes 1, 2 and 7.
 
 use proptest::prelude::*;
 use shard::apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
@@ -15,6 +15,7 @@ use shard::apps::nameserver::{GroupId, Name, NameServer, NsUpdate};
 use shard::apps::Person;
 use shard::core::replay::prebuild_executions;
 use shard::core::{Application, Checkpoints, ExecutionBuilder, PMap, TxnIndex};
+use shard::store::MemStore;
 use shard_pool::PoolConfig;
 use std::collections::BTreeMap;
 
@@ -118,6 +119,37 @@ fn pmap_op() -> impl Strategy<Value = (u32, Option<u64>)> {
     )
 }
 
+/// Asks `ckpts` for its floor at `limit` and checks it against the
+/// prefix-state oracle (`states[m]` = state after `m` updates):
+/// a true prefix state at or below the limit from which replaying
+/// reaches the target, and — when `exact` — the deepest `retained`
+/// depth at or below the limit.
+fn check_floor(
+    app: &FlyByNight,
+    updates: &[AirlineUpdate],
+    states: &[<FlyByNight as Application>::State],
+    ckpts: &mut Checkpoints<<FlyByNight as Application>::State>,
+    retained: &[usize],
+    limit: usize,
+    exact: bool,
+) {
+    let floor = ckpts.floor(limit);
+    if exact {
+        let want = retained.iter().rev().find(|&&l| l <= limit).copied();
+        assert_eq!(floor.as_ref().map(|&(l, _)| l), want, "floor at {}", limit);
+    }
+    if let Some((l, s)) = floor {
+        assert!(l <= limit, "floor {} above limit {}", l, limit);
+        assert_eq!(&s, &states[l], "floor state is the prefix state");
+        let target = limit.min(updates.len());
+        let mut resumed = s;
+        for u in &updates[l..target] {
+            app.apply_in_place(&mut resumed, u);
+        }
+        assert_eq!(&resumed, &states[target], "resume to depth {}", target);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -210,17 +242,22 @@ proptest! {
         }
     }
 
-    /// Delta-chain checkpoints (anchor spacing > 1) are a pure pruning
-    /// of the snapshot implementation: record decisions are identical,
-    /// every retained point holds the exact prefix state, every floor
-    /// is a snapshot-retained point, and resuming a replay from a
-    /// delta-chain floor reproduces the target state byte-for-byte.
-    /// Spacing 1 retains precisely what the snapshot sequence retains.
+    /// One checkpoint sequence, hot-only or with a cold tier, under a
+    /// random interleaving of records, undos (`truncate`), floors and
+    /// cold-store crashes at arbitrary byte offsets, checked against the
+    /// all-prefix-states oracle. Every floor is the true prefix state at
+    /// a depth at or below its limit, and resuming a replay from it
+    /// reproduces the target state. A hot-only sequence's floor is
+    /// exactly the deepest point the record/truncate history retains —
+    /// and so is a cold tier's that spills every eviction (spacing 1)
+    /// until its store crashes; a crash may only make floors shallower.
     #[test]
     fn delta_chain_checkpoints_match_snapshot(
-        updates in proptest::collection::vec(airline_update(), 0..120),
+        updates in proptest::collection::vec(airline_update(), 1..120),
         every in 1usize..=16,
-        anchor in 1usize..=8,
+        hot in 1usize..=4,
+        spacing in 1usize..=4,
+        ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..64),
     ) {
         let app = FlyByNight::new(2);
         // All prefix states up front (the naive oracle).
@@ -229,40 +266,69 @@ proptest! {
         for u in &updates {
             states.push(app.apply(states.last().unwrap(), u));
         }
+        let n = updates.len();
 
-        let mut snap: Checkpoints<_> = Checkpoints::new(every);
-        let mut delta: Checkpoints<_> = Checkpoints::with_anchor_spacing(every, anchor);
-        for (len, state) in states.iter().enumerate().skip(1) {
-            let recorded_snap = snap.record(len, state);
-            let recorded_delta = delta.record(len, state);
-            prop_assert_eq!(recorded_snap, recorded_delta,
-                "record decision diverged at {}", len);
-        }
-        prop_assert!(delta.len() <= snap.len());
-        if anchor == 1 {
-            prop_assert_eq!(delta.len(), snap.len());
-        }
-        prop_assert_eq!(delta.last_len(), snap.last_len(),
-            "the newest point must always survive pruning");
-
-        for depth in 0..=updates.len() {
-            let snap_floor = snap.floor(depth);
-            let delta_floor = delta.floor(depth);
-            if anchor == 1 {
-                prop_assert_eq!(&delta_floor, &snap_floor);
-            }
-            if let Some((l, s)) = delta_floor {
-                // A delta floor is one of the snapshot's points…
-                prop_assert_eq!(s, &states[l], "floor state is the prefix state");
-                prop_assert!(snap_floor.is_some_and(|(sl, _)| l <= sl),
-                    "pruning may only deepen the replay, not skip past it");
-                // …and resuming from it reproduces the target exactly.
-                let mut resumed = s.clone();
-                for u in &updates[l..depth] {
-                    app.apply_in_place(&mut resumed, u);
+        for tiered in [false, true] {
+            let mut ckpts = if tiered {
+                Checkpoints::with_cold_tier(Box::new(MemStore::new()), every, hot, spacing)
+            } else {
+                Checkpoints::new(every)
+            };
+            // The depths a hot-only sequence retains under the same
+            // history: record iff `interval` past the deepest point,
+            // truncate drops everything deeper than the undo point.
+            let mut retained: Vec<usize> = Vec::new();
+            let mut depth = 0usize;
+            let exact_records = !tiered || spacing == 1;
+            let mut crashed = false;
+            for &(kind, arg) in &ops {
+                match kind {
+                    // Redo: advance the replay cursor, recording each step.
+                    0..=3 => {
+                        let target = (depth + 1 + arg as usize % 16).min(n);
+                        while depth < target {
+                            depth += 1;
+                            let stored = ckpts
+                                .record(depth, &states[depth], |s| app.state_size_hint(s))
+                                .is_some();
+                            let expect = depth >= retained.last().map_or(0, |&l| l) + every;
+                            if expect {
+                                retained.push(depth);
+                            }
+                            if exact_records {
+                                prop_assert_eq!(stored, expect, "record at {}", depth);
+                            }
+                        }
+                    }
+                    // Undo to a point at or below the cursor.
+                    4 | 5 => {
+                        depth = arg as usize % (depth + 1);
+                        ckpts.truncate(depth);
+                        retained.retain(|&l| l <= depth);
+                    }
+                    6 => {
+                        let limit = arg as usize % (n + 2);
+                        let exact = exact_records && !crashed;
+                        check_floor(&app, &updates, &states, &mut ckpts, &retained, limit, exact);
+                    }
+                    _ => {
+                        if let Some(store) = ckpts.store_mut() {
+                            let keep = arg % (store.len_bytes() + 1);
+                            store.crash(keep).unwrap();
+                            crashed = true;
+                        }
+                    }
                 }
-                prop_assert_eq!(&resumed, &states[depth],
-                    "resume from delta floor at depth {}", depth);
+                if tiered {
+                    prop_assert!(ckpts.len() - ckpts.spilled_anchors() <= hot,
+                        "hot tier over capacity");
+                } else {
+                    prop_assert_eq!(ckpts.len(), retained.len());
+                }
+            }
+            for limit in 0..=n + 1 {
+                let exact = exact_records && !crashed;
+                check_floor(&app, &updates, &states, &mut ckpts, &retained, limit, exact);
             }
         }
     }

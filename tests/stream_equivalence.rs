@@ -12,7 +12,7 @@
 //!
 //! The same executions then take the out-of-core path: rows are
 //! serialized into a [`StreamingExecution`] and folded back off the
-//! store cursor, spilled [`SpillingCheckpoints`] floors (at spill
+//! store cursor, cold-tiered [`Checkpoints`] floors (at spill
 //! spacings {1, 16, 256}) are compared against the in-memory actual
 //! states, and `check_stream` off the store must produce *the same
 //! [`StreamReport`]* — verdicts, certificates and all — as `par_check`
@@ -20,7 +20,7 @@
 //!
 //! [`StreamChecker`]: shard::core::StreamChecker
 //! [`StreamingExecution`]: shard::core::StreamingExecution
-//! [`SpillingCheckpoints`]: shard::core::SpillingCheckpoints
+//! [`Checkpoints`]: shard::core::Checkpoints
 //! [`StreamReport`]: shard::core::StreamReport
 
 use proptest::prelude::*;
@@ -33,8 +33,8 @@ use shard::apps::Person;
 use shard::core::conditions::{is_transitive, max_missed, transitivity_violation};
 use shard::core::stream::{par_check, rows_from_execution, CERT_SCHEMA};
 use shard::core::{
-    Application, Certificate, ExecutionBuilder, SpillingCheckpoints, StreamingExecution,
-    TimedExecution, TxnIndex,
+    Application, Certificate, Checkpoints, ExecutionBuilder, StreamingExecution, TimedExecution,
+    TxnIndex,
 };
 use shard::store::{Codec, MemStore};
 use shard_pool::PoolConfig;
@@ -204,12 +204,12 @@ where
     // spacing 1 nothing is ever dropped, so the floor must be exact.
     for spacing in SPACINGS {
         let mut ckpts =
-            SpillingCheckpoints::<A::State>::new(Box::new(MemStore::new()), 1, 2, spacing);
+            Checkpoints::<A::State>::with_cold_tier(Box::new(MemStore::new()), 1, 2, spacing);
         for (m, s) in expected.iter().enumerate().skip(1) {
-            ckpts.record(m, s, app.state_size_hint(s));
+            ckpts.record(m, s, |s| app.state_size_hint(s));
         }
         for (m, want) in expected.iter().enumerate().skip(1) {
-            match ckpts.floor_owned(m) {
+            match ckpts.floor(m) {
                 Some((depth, got)) => {
                     assert!(
                         depth <= m,
