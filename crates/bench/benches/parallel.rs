@@ -1,5 +1,5 @@
 //! Scaling of the `shard-pool` parallel layer, and proof-of-identity
-//! alongside it: the chaos sweep and the §3/§4 checker sweeps are run
+//! alongside it: the chaos sweep and the §4 cost-bound sweep are run
 //! at pool sizes 1/2/4/8, every parallel result is asserted equal to
 //! the sequential one before its time is reported, and the numbers
 //! land in `BENCH_parallel.json` at the repository root together with
@@ -7,12 +7,9 @@
 //! (honest) absence of speedup while still certifying determinism.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::FlyByNight;
 use shard_apps::Person;
 use shard_bench::chaos::{sweep, ChaosConfig};
-use shard_bench::workloads::airline_execution_with_k;
-use shard_core::conditions;
 use shard_core::costs::{count_bound_violations, par_count_bound_violations, BoundFn};
 use shard_pool::PoolConfig;
 use std::hint::black_box;
@@ -113,43 +110,6 @@ fn chaos_rows() -> String {
     json_rows(&rows, baseline)
 }
 
-/// The §3 transitivity checker on an n = 10⁴ execution across the pool
-/// sizes (`SHARD_POOL_THREADS` steers the checker's internal pool).
-fn checker_rows() -> String {
-    let app = FlyByNight::new(40);
-    let e = airline_execution_with_k(&app, 3, 10_000, 4, AirlineMix::default());
-    let reference = conditions::is_transitive(&e);
-    println!("\nparallel/is_transitive (n = 10000)");
-    // The checker reads its pool from the environment; each timing
-    // closure pins it for the duration of its own sample.
-    for threads in THREADS {
-        std::env::set_var("SHARD_POOL_THREADS", threads.to_string());
-        assert_eq!(
-            conditions::is_transitive(&e),
-            reference,
-            "transitivity verdict diverged at {threads} threads"
-        );
-    }
-    let mut runs: Vec<Box<dyn FnMut()>> = THREADS
-        .iter()
-        .map(|&threads| {
-            let e = &e;
-            Box::new(move || {
-                std::env::set_var("SHARD_POOL_THREADS", threads.to_string());
-                black_box(conditions::is_transitive(e));
-            }) as Box<dyn FnMut()>
-        })
-        .collect();
-    let bests = interleaved_best_ns(3, &mut runs);
-    std::env::remove_var("SHARD_POOL_THREADS");
-    let rows: Vec<(usize, f64)> = THREADS.into_iter().zip(bests).collect();
-    for &(threads, ns) in &rows {
-        println!("  threads={threads}  best {ns:>14.0} ns");
-    }
-    let baseline = rows[0].1;
-    json_rows(&rows, baseline)
-}
-
 /// The §4 cost-bound sweep (full subsequence lattice of a 16-update
 /// sequence, 2¹⁶ instances) across the pool sizes.
 fn bound_rows() -> String {
@@ -202,7 +162,6 @@ fn bound_rows() -> String {
 fn bench_parallel_scaling(_c: &mut Criterion) {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let chaos = chaos_rows();
-    let checker = checker_rows();
     let bound = bound_rows();
     let json = format!(
         "{{\n  \"bench\": \"shard_pool_scaling\",\n  \
@@ -215,7 +174,6 @@ fn bench_parallel_scaling(_c: &mut Criterion) {
          discarded warmup; noise on a shared host is strictly additive) so host noise \
          and throttle phase cannot masquerade as a per-thread-count regression\",\n  \
          \"chaos_sweep_120_seeds\": {{\n    \"results\": [\n{chaos}\n    ]\n  }},\n  \
-         \"is_transitive_n10000\": {{\n    \"results\": [\n{checker}\n    ]\n  }},\n  \
          \"bound_sweep_2e16\": {{\n    \"results\": [\n{bound}\n    ]\n  }}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");

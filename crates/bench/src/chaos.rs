@@ -615,11 +615,11 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
         events: Vec<FaultEvent>,
     }
     let runs: Vec<SeedRun> = shard_pool::par_map(&cfg.pool, &seeds, |_, &seed| {
-        let baseline = run_once(cfg, seed, None);
-        let base_exec = baseline.timed_execution().execution;
+        let base = run_once(cfg, seed, None).timed_execution().report();
         let (recorder, log) = Recorder::new(Box::new(stack_for(cfg, seed)));
         let faulted = run_once(cfg, seed, Some(Box::new(recorder)));
         let te = faulted.timed_execution();
+        let faulted_report = te.report();
         let verify_ok = te.execution.verify(&app).is_ok();
         let (_, cost_check) = shard_analysis::claims::check_invariant_bound(
             &app,
@@ -633,11 +633,11 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
             fault_events: log.len(),
             verify_ok,
             cost_ok: cost_check.holds(),
-            base_transitive: is_transitive(&base_exec),
-            faulted_transitive: is_transitive(&te.execution),
-            base_max_missed: max_missed(&base_exec),
-            faulted_max_missed: max_missed(&te.execution),
-            faulted_delay_bound: te.min_delay_bound(),
+            base_transitive: base.transitive,
+            faulted_transitive: faulted_report.transitive,
+            base_max_missed: base.max_missed,
+            faulted_max_missed: faulted_report.max_missed,
+            faulted_delay_bound: faulted_report.min_delay_bound,
         };
         if shard_obs::enabled() {
             let r = shard_obs::Registry::global();

@@ -472,16 +472,7 @@ fn push_row(path: &str, checker: &mut StreamChecker, line: &str) -> Result<bool,
 /// certificate if asked, and turns a violated stream into exit 1.
 fn finish_watch(path: &str, checker: &StreamChecker, cert_out: Option<&str>) -> CmdResult {
     let report = checker.report();
-    println!(
-        "{}",
-        shard_obs::ObjWriter::new()
-            .str("event", "monitor.final")
-            .u64("rows", report.rows as u64)
-            .bool("transitive", report.transitive)
-            .u64("max_missed", report.max_missed as u64)
-            .u64("delay_bound", report.min_delay_bound)
-            .finish()
-    );
+    println!("{}", report.to_json_line());
     for cert in &report.certificates {
         println!("{}", cert.to_json());
     }

@@ -16,28 +16,17 @@
 //!   information intervening;
 //! * **timed executions** with **t-bounded delay** — every transaction
 //!   sees all predecessors initiated at least `t` earlier.
+//!
+//! Transitivity and the delay bound are decided by one algorithm, the
+//! frontier test of [`StreamChecker`]:
+//! [`is_transitive`] and [`TimedExecution::report`] fold the prefixes
+//! through it. The remaining readers here are the definitions
+//! themselves, each a direct scan of the sorted prefixes.
 
 use crate::app::Application;
-use crate::bitset::BitSet;
 use crate::execution::{Execution, TxnIndex};
-use shard_pool::PoolConfig;
+use crate::stream::{StreamChecker, StreamReport};
 use std::ops::Range;
-
-/// Executions below this length are checked sequentially: the O(n²/64)
-/// subset scans finish in microseconds and spawning threads would cost
-/// more than it saves. Above it, the quadratic checkers partition their
-/// index space across the pool (`SHARD_POOL_THREADS`).
-const PAR_THRESHOLD: usize = 1024;
-
-/// Builds, for each transaction, the set of prefix indices as a [`BitSet`]
-/// over the execution's indices.
-fn prefix_sets<A: Application>(exec: &Execution<A>) -> Vec<BitSet> {
-    let n = exec.len();
-    exec.records()
-        .iter()
-        .map(|r| BitSet::from_members(n.max(1), &r.prefix))
-        .collect()
-}
 
 /// The number of preceding transactions that transaction `i` does **not**
 /// see: `i − |𝒫ᵢ|`. Transaction `i` is *k-complete* iff this is ≤ `k`.
@@ -71,44 +60,16 @@ pub fn max_missed<A: Application>(exec: &Execution<A>) -> usize {
 /// Whether the execution is **transitive** (§3.2): for all `T, T', T''`,
 /// if `T ∈ 𝒫(T')` and `T' ∈ 𝒫(T'')` then `T ∈ 𝒫(T'')`.
 ///
-/// Runs in O(n² / 64) using dense bit sets; long executions partition
-/// the transaction range across the thread pool (the verdict is a pure
-/// conjunction over independent rows, so the result is identical at
-/// every thread count).
+/// Folds the prefixes through a [`StreamChecker`] (initiation times
+/// play no part) and stops at the first violation; its certificate is
+/// [`TimedExecution::report`]'s [`StreamReport::violation`].
 pub fn is_transitive<A: Application>(exec: &Execution<A>) -> bool {
     let _span = shard_obs::span!("conditions.is_transitive");
-    let sets = prefix_sets(exec);
-    // The parallel path shares only plain slices ([`Execution`] itself
-    // carries a thread-local replay cache and is not `Sync`).
-    let prefixes: Vec<&[TxnIndex]> = exec.records().iter().map(|r| r.prefix.as_slice()).collect();
-    let row_ok = |i: usize| prefixes[i].iter().all(|&j| sets[j].is_subset_of(&sets[i]));
-    if exec.len() < PAR_THRESHOLD || shard_pool::is_worker() {
-        return (0..exec.len()).all(row_ok);
-    }
-    shard_pool::par_ranges(&PoolConfig::from_env(), exec.len(), |range| {
-        range.into_iter().all(row_ok)
+    let mut checker = StreamChecker::new(usize::MAX);
+    exec.records().iter().all(|r| {
+        checker.push_prefix(&r.prefix, 0);
+        checker.transitive_so_far()
     })
-    .into_iter()
-    .all(|ok| ok)
-}
-
-/// Returns the first transitivity violation as `(t, t_mid, t_top)` where
-/// `t ∈ 𝒫(t_mid)`, `t_mid ∈ 𝒫(t_top)`, but `t ∉ 𝒫(t_top)` — or `None` if
-/// the execution is transitive. Useful in tests and diagnostics.
-pub fn transitivity_violation<A: Application>(
-    exec: &Execution<A>,
-) -> Option<(TxnIndex, TxnIndex, TxnIndex)> {
-    let sets = prefix_sets(exec);
-    for (top, set) in sets.iter().enumerate() {
-        for mid in exec.record(top).prefix.iter().copied() {
-            for low in exec.record(mid).prefix.iter().copied() {
-                if !set.contains(low) {
-                    return Some((low, mid, top));
-                }
-            }
-        }
-    }
-    None
 }
 
 /// Whether the group of transactions `group` (indices into `exec`, any
@@ -117,20 +78,16 @@ pub fn transitivity_violation<A: Application>(
 /// complete prefix. Conceptually, a single "agent" runs the group.
 pub fn is_centralized<A: Application>(exec: &Execution<A>, group: &[TxnIndex]) -> bool {
     let _span = shard_obs::span!("conditions.is_centralized");
-    let n = exec.len();
     let mut sorted: Vec<TxnIndex> = group.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-    let sets = prefix_sets(exec);
-    for (pos, &g) in sorted.iter().enumerate() {
-        assert!(g < n, "group index {g} out of range");
-        for &earlier in &sorted[..pos] {
-            if !sets[g].contains(earlier) {
-                return false;
-            }
-        }
-    }
-    true
+    sorted.iter().enumerate().all(|(pos, &g)| {
+        assert!(g < exec.len(), "group index {g} out of range");
+        let prefix = &exec.record(g).prefix;
+        sorted[..pos]
+            .iter()
+            .all(|earlier| prefix.binary_search(earlier).is_ok())
+    })
 }
 
 /// Whether the consecutive index range `range` is **atomic** in `exec`
@@ -202,86 +159,43 @@ impl<A: Application> TimedExecution<A> {
         self.times.windows(2).all(|w| w[0] <= w[1])
     }
 
+    /// Every §3 verdict of the execution in one pass of a
+    /// [`StreamChecker`]: transitivity, `max_missed`, the minimal delay
+    /// bound, and the certificates witnessing them (no window verdicts).
+    pub fn report(&self) -> StreamReport {
+        let mut checker = StreamChecker::new(usize::MAX);
+        for (record, &time) in self.execution.records().iter().zip(&self.times) {
+            checker.push_prefix(&record.prefix, time);
+        }
+        checker.report()
+    }
+
+    /// The smallest `t` for which the execution has t-bounded delay
+    /// (`0` for empty executions): one more than the largest
+    /// `timeᵢ − timeₓ` over missed pairs with `timeₓ ≤ timeᵢ`.
+    pub fn min_delay_bound(&self) -> u64 {
+        self.report().min_delay_bound
+    }
+
     /// Whether the execution has **t-bounded delay**: the prefix
     /// subsequence of each transaction `T` includes every preceding
     /// transaction whose real time is at least `t` smaller than `T`'s.
     pub fn has_t_bounded_delay(&self, t: u64) -> bool {
-        self.delay_bound_violation(t).is_none()
-    }
-
-    /// Returns the first `(seer, missed)` pair violating t-bounded delay,
-    /// or `None` if the bound holds.
-    ///
-    /// Walks each sorted prefix and the index range `0..i` in lockstep
-    /// (a two-pointer complement scan) — no per-transaction set
-    /// materialization.
-    pub fn delay_bound_violation(&self, t: u64) -> Option<(TxnIndex, TxnIndex)> {
-        for i in 0..self.execution.len() {
-            let mut seen = self.execution.record(i).prefix.iter().copied().peekable();
-            for j in 0..i {
-                if seen.next_if_eq(&j).is_some() {
-                    continue;
-                }
-                if self.times[j] + t <= self.times[i] {
-                    return Some((i, j));
-                }
-            }
-        }
-        None
-    }
-
-    /// The smallest `t` for which the execution has t-bounded delay
-    /// (`0` for empty executions). Exact; worst case O(n²) when most
-    /// pairs are missed, but allocation-free (the same complement scan
-    /// as [`TimedExecution::delay_bound_violation`]).
-    pub fn min_delay_bound(&self) -> u64 {
-        // Plain slices only: the parallel path must not capture the
-        // execution itself (its replay cache is not `Sync`).
-        let prefixes: Vec<&[TxnIndex]> = self
-            .execution
-            .records()
-            .iter()
-            .map(|r| r.prefix.as_slice())
-            .collect();
-        let times = self.times.as_slice();
-        let row_bound = move |i: usize| {
-            let mut bound = 0u64;
-            let mut seen = prefixes[i].iter().copied().peekable();
-            for j in 0..i {
-                if seen.next_if_eq(&j).is_some() {
-                    continue;
-                }
-                // Missing j is tolerable only for t > times[i] - times[j].
-                let gap = times[i].saturating_sub(times[j]);
-                bound = bound.max(gap + 1);
-            }
-            bound
-        };
-        let n = self.execution.len();
-        if n < PAR_THRESHOLD || shard_pool::is_worker() {
-            return (0..n).map(&row_bound).max().unwrap_or(0);
-        }
-        // Rows are independent and max is commutative: partition the
-        // transaction range across the pool.
-        shard_pool::par_ranges(&PoolConfig::from_env(), n, |range| {
-            range.into_iter().map(&row_bound).max().unwrap_or(0)
-        })
-        .into_iter()
-        .max()
-        .unwrap_or(0)
+        t >= self.min_delay_bound()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::app::DecisionOutcome;
     use crate::execution::ExecutionBuilder;
 
     #[derive(Clone, Debug, PartialEq)]
-    struct Nop;
+    pub(crate) struct Nop;
 
-    struct Trivial;
+    /// A decision-free application: executions are pure prefix shapes.
+    pub(crate) struct Trivial;
     impl Application for Trivial {
         type State = ();
         type Update = Nop;
@@ -305,9 +219,8 @@ mod tests {
         }
     }
 
-    fn exec_with_prefixes(prefixes: &[&[usize]]) -> Execution<Trivial> {
-        let app = Trivial;
-        let mut b = ExecutionBuilder::new(&app);
+    pub(crate) fn exec_with_prefixes(prefixes: &[&[usize]]) -> Execution<Trivial> {
+        let mut b = ExecutionBuilder::new(&Trivial);
         for p in prefixes {
             b.push((), p.to_vec()).unwrap();
         }
@@ -330,7 +243,6 @@ mod tests {
         // 2 sees 1, 1 sees 0, 2 sees 0 as well: transitive.
         let e = exec_with_prefixes(&[&[], &[0], &[0, 1]]);
         assert!(is_transitive(&e));
-        assert_eq!(transitivity_violation(&e), None);
     }
 
     #[test]
@@ -338,7 +250,6 @@ mod tests {
         // 2 sees 1, 1 sees 0, but 2 does not see 0.
         let e = exec_with_prefixes(&[&[], &[0], &[1]]);
         assert!(!is_transitive(&e));
-        assert_eq!(transitivity_violation(&e), Some((0, 1, 2)));
     }
 
     #[test]
@@ -347,43 +258,6 @@ mod tests {
         assert!(is_transitive(&e));
         let e = exec_with_prefixes(&[&[]]);
         assert!(is_transitive(&e));
-    }
-
-    #[test]
-    fn long_executions_take_the_partitioned_path() {
-        // Length ≥ PAR_THRESHOLD exercises the pool-partitioned branch
-        // of `is_transitive` and `min_delay_bound`; verdicts must agree
-        // with the independent oracles either way.
-        let n = PAR_THRESHOLD + 200;
-        let skip_at = n - 3;
-        let mut b = ExecutionBuilder::new(&Trivial);
-        for i in 0..n {
-            // Complete prefixes except one late transaction that skips
-            // index 0 — the lone (0, 1, skip_at) transitivity breach.
-            let prefix: Vec<usize> = if i == skip_at {
-                (1..i).collect()
-            } else {
-                (0..i).collect()
-            };
-            b.push((), prefix).unwrap();
-        }
-        let e = b.finish();
-        assert!(!is_transitive(&e));
-        assert_eq!(transitivity_violation(&e), Some((0, 1, skip_at)));
-        let times: Vec<u64> = (0..n as u64).map(|i| i * 3).collect();
-        let te = TimedExecution::new(e, times);
-        // The only missed pair is (skip_at, 0), separated by 3·skip_at.
-        assert_eq!(te.min_delay_bound(), 3 * skip_at as u64 + 1);
-
-        // The fully-complete variant is transitive with zero bound.
-        let mut b = ExecutionBuilder::new(&Trivial);
-        for i in 0..n {
-            b.push((), (0..i).collect()).unwrap();
-        }
-        let e = b.finish();
-        assert!(is_transitive(&e));
-        let te = TimedExecution::new(e, (0..n as u64).collect());
-        assert_eq!(te.min_delay_bound(), 0);
     }
 
     #[test]
@@ -425,7 +299,6 @@ mod tests {
         assert!(!te.has_t_bounded_delay(20));
         assert!(te.has_t_bounded_delay(21));
         assert_eq!(te.min_delay_bound(), 21);
-        assert_eq!(te.delay_bound_violation(5), Some((2, 0)));
     }
 
     #[test]
@@ -433,6 +306,9 @@ mod tests {
         let e = exec_with_prefixes(&[&[], &[]]);
         let te = TimedExecution::new(e, vec![5, 1]);
         assert!(!te.is_orderly());
+        // Txn 1 ran before txn 0 and missed it: no t is violated.
+        assert_eq!(te.min_delay_bound(), 0);
+        assert!(te.has_t_bounded_delay(0));
     }
 
     #[test]

@@ -40,12 +40,11 @@
 //! * [`pmap`] — a zero-dependency persistent ordered map (`Arc`-shared
 //!   copy-on-write treap) applications build their states on, so state
 //!   clones are O(1) and checkpoint chains cost O(delta) memory.
-//! * [`stream`] — online (streaming) versions of the §3 checkers:
-//!   windowed monitors over the serial order that emit
-//!   incremental verdicts plus compact, independently checkable
-//!   certificates.
-//! * [`bitset`] — a small dense bit-set used by the execution property
-//!   checkers.
+//! * [`stream`] — the one §3 checker: a windowed monitor over the
+//!   serial order that decides transitivity (by a frontier test),
+//!   k-completeness and the delay bound, and emits incremental verdicts
+//!   plus compact, independently checkable certificates. The
+//!   whole-execution names in [`conditions`] fold through it.
 //!
 //! ## Quick example
 //!
@@ -90,7 +89,6 @@
 #![deny(missing_docs)]
 
 pub mod app;
-pub mod bitset;
 pub mod conditions;
 pub mod costs;
 pub mod execution;

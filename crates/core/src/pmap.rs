@@ -176,26 +176,6 @@ impl<K: Ord + Clone + Hash, V: Clone> PMap<K, V> {
         old
     }
 
-    /// Mutable access to the value for `key` — copy-on-write: shared
-    /// nodes on the path are cloned (detaching this map from any
-    /// snapshot), unshared paths mutate in place with no allocation.
-    /// Absent keys cost a read-only lookup and copy nothing.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        if !self.contains_key(key) {
-            return None;
-        }
-        let mut cur = self.root.as_mut();
-        while let Some(rc) = cur {
-            let node = Arc::make_mut(rc);
-            match key.cmp(&node.key) {
-                std::cmp::Ordering::Less => cur = node.left.as_mut(),
-                std::cmp::Ordering::Greater => cur = node.right.as_mut(),
-                std::cmp::Ordering::Equal => return Some(&mut node.value),
-            }
-        }
-        unreachable!("contains_key found the key above")
-    }
-
     /// Removes `key`, returning its value if present. Absent keys cost
     /// a read-only lookup — no path is copied.
     pub fn remove(&mut self, key: &K) -> Option<V> {

@@ -1,52 +1,53 @@
-//! Streaming (online) verification of the §3 conditions.
+//! Streaming verification of the §3 conditions — the one checker.
 //!
-//! The condition checkers in [`crate::conditions`] are whole-execution
-//! folds: they need every prefix in memory before they answer, so a
-//! chaos run must finish before we learn it was doomed. This module is
-//! the *online* counterpart — monitors that consume an execution one
-//! transaction at a time, in serial order, and maintain exactly the
-//! evidence needed to answer "does the condition still hold?" after
-//! every row:
+//! [`StreamChecker`] consumes an execution one transaction at a time,
+//! in serial order, and keeps exactly the evidence needed to answer
+//! "does the condition still hold?" after every row. It is the only
+//! code that decides transitivity and the delay bound: the live
+//! monitor, `StreamingMerge`, `check_stream`, `shard-trace watch` and
+//! the whole-execution names in [`crate::conditions`]
+//! (`is_transitive`, [`TimedExecution::report`] and the readers built
+//! on it) all fold their rows through it. Per row `i` with miss set
+//! `Mᵢ = {0..i} ∖ 𝒫ᵢ`:
 //!
-//! * **k-completeness** is trivially online: `missed_count(i)` is the
-//!   size of row `i`'s miss set, so the running maximum is one
-//!   comparison per row.
-//! * **transitivity** is the interesting one. Row `i` with miss set
-//!   `Mᵢ` violates transitivity iff some `x ∈ Mᵢ` has a *witness*
-//!   `j ∈ (x, i)` with `j ∈ 𝒫ᵢ` and `x ∈ 𝒫ⱼ` — a transaction `i` saw
-//!   that had itself seen `x`. Because `j ∈ 𝒫ᵢ ⟺ j ∉ Mᵢ` and
-//!   `x ∈ 𝒫ⱼ ⟺ j ∉ missers(x)`, the check only needs, per past
-//!   transaction `x`, the sorted list of rows that missed `x` — the
-//!   **missers index**. One merged gap-scan of `Mᵢ` and `missers(x)`
-//!   over the range `(x, i)` per missed `x` decides the row; rows with
-//!   empty miss sets (the common case) cost nothing. Total state is
-//!   O(total misses), not O(n²).
-//! * **t-bounded delay** follows the same shape: row `i` raises the
-//!   running bound to `timeᵢ − timeₓ + 1` for each missed `x`, which
-//!   needs only the append-only vector of initiation times.
+//! * **k-completeness** is trivially online: `missed_count(i)` is
+//!   `|Mᵢ|`, so the running maximum is one comparison per row.
+//! * **transitivity** is decided by a *frontier test*. While every
+//!   earlier row is transitive, a row `j` that `i` saw brings its whole
+//!   prefix along — each `k ∈ 𝒫ⱼ` has `𝒫ₖ ⊆ 𝒫ⱼ` — so row `i` is
+//!   transitive iff `𝒫ⱼ ⊆ 𝒫ᵢ` for each seen `j` that no other checked
+//!   seen row covers. The test starts at the largest row `i` saw,
+//!   checks `Mᵢ ∩ [0, j) ⊆ Mⱼ` by a sorted merge, leaves the rows
+//!   `Mⱼ ∖ Mᵢ` uncovered, and repeats from the largest uncovered row
+//!   until none is left. Each step is O(|Mᵢ| + |Mⱼ|); the number of
+//!   steps (the frontier's width) is at most the node count in kernel
+//!   and runtime executions, where a node's later transactions see its
+//!   earlier ones. Rows with empty miss sets cost nothing. Once a row
+//!   fails, its canonical witness is computed for that row only: the
+//!   smallest missed `x` some seen row had seen, then the smallest
+//!   `j ∈ (x, i)` that `i` saw and that saw `x`.
+//! * **t-bounded delay**: each missed `x` initiated no later than `i`
+//!   raises the running bound to `timeᵢ − timeₓ + 1`. Missing a
+//!   transaction initiated *after* `i` breaks no delay bound, which
+//!   matters only for non-orderly executions.
 //!
-//! The [`StreamChecker`] wraps the three monitors behind a *window*
-//! abstraction: every `window` rows it emits a [`WindowVerdict`] (the
-//! cumulative verdicts at that boundary). The missers index lives in a
-//! [`PMap`] (the structurally shared treap), so cloning a checker is
-//! O(1).
-//!
-//! Verdicts are **bit-identical** to the offline checkers: feeding
-//! [`rows_from_execution`] through a checker of any window size yields
-//! exactly `is_transitive`, `max_missed` and `min_delay_bound` of the
-//! source execution (`tests/stream_equivalence.rs` pins this per
-//! application, window and pool size).
+//! The miss sets live in one flat vector with one end offset per row,
+//! next to the vector of initiation times — no allocation per row. Only
+//! the frontier test reads them, so they stop growing once a violation
+//! is found. Every `window` rows the checker emits a [`WindowVerdict`]
+//! (the cumulative verdicts at that boundary).
 //!
 //! Every verdict ships with a [`Certificate`] — the witness rows that
 //! *prove* it — serialized into the trace vocabulary so an independent
 //! validator (`shard-trace certify`, implemented in `shard-obs` with no
 //! types from this crate) can re-check it against the raw trace in
 //! O(|certificate|) work, without replaying the execution.
+//! `tests/stream_equivalence.rs` pins verdicts and certificates against
+//! a literal, set-based oracle.
 
 use crate::app::Application;
 use crate::conditions::TimedExecution;
 use crate::execution::TxnIndex;
-use crate::pmap::PMap;
 use shard_pool::PoolConfig;
 
 /// Schema tag stamped into serialized certificates.
@@ -54,7 +55,7 @@ pub const CERT_SCHEMA: &str = "shard-cert/v1";
 
 /// Executions below this length are converted to rows sequentially;
 /// above it, [`rows_from_execution`] partitions the row range across
-/// the pool (same threshold as the offline checkers).
+/// the pool.
 const PAR_THRESHOLD: usize = 1024;
 
 /// Per-process stream metrics, resolved once (same pattern as the
@@ -183,8 +184,8 @@ pub enum Certificate {
         missed: usize,
     },
     /// The pair attaining the execution's minimal delay bound: `seer`
-    /// missed `missed` although it ran `bound − 1` ticks later, so no
-    /// `t < bound` is a valid delay bound.
+    /// missed `missed` although it ran `bound − 1` ticks later (never
+    /// earlier), so no `t < bound` is a valid delay bound.
     DelayBound {
         /// The late transaction whose prefix omitted `missed`.
         seer: TxnIndex,
@@ -236,7 +237,7 @@ impl Certificate {
 /// The cumulative verdicts at one window boundary: after `end` rows,
 /// over the whole stream so far (not just the window's rows — a
 /// violation in window 2 keeps every later verdict false, exactly like
-/// the offline checkers on the growing prefix).
+/// the whole-execution readers on the growing prefix).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WindowVerdict {
     /// 0-based window ordinal.
@@ -295,38 +296,51 @@ impl StreamReport {
             .iter()
             .find(|c| matches!(c, Certificate::Transitivity { .. }))
     }
+
+    /// Renders the summary as one JSONL trace line
+    /// (`{"event":"monitor.final",…}`); certificates are separate lines
+    /// ([`Certificate::to_json`]).
+    pub fn to_json_line(&self) -> String {
+        shard_obs::ObjWriter::new()
+            .str("event", "monitor.final")
+            .u64("rows", self.rows as u64)
+            .bool("transitive", self.transitive)
+            .u64("max_missed", self.max_missed as u64)
+            .u64("delay_bound", self.min_delay_bound)
+            .finish()
+    }
 }
 
 /// The windowed online checker: push rows in serial order, get a
 /// cumulative [`WindowVerdict`] back every `window` rows, read the
 /// final [`StreamReport`] (verdicts + certificates) at any point.
 ///
-/// State is O(total misses + rows·8B): the missers index holds one
-/// entry per (row, missed predecessor) pair and the time vector one
-/// `u64` per row; windows bound *latency to a verdict*.
+/// State is O(total misses + rows·16B): the flat miss lists hold one
+/// entry per (row, missed predecessor) pair until the first violation,
+/// plus one end offset and one time per row; windows bound *latency to
+/// a verdict*.
 #[derive(Clone, Debug)]
 pub struct StreamChecker {
     window: usize,
-    /// Rows consumed so far.
-    rows: usize,
-    /// No transitivity violation seen yet.
-    transitive: bool,
-    /// First violation in (row, missed, witness)-scan order.
+    /// First violation as `(low, mid, top)`.
     first_violation: Option<(TxnIndex, TxnIndex, TxnIndex)>,
-    /// For each transaction `x` missed by anyone: the strictly
-    /// increasing rows whose miss sets contained `x`. A structurally
-    /// shared [`PMap`], so cloning the checker is O(1).
-    missers: PMap<TxnIndex, Vec<TxnIndex>>,
     /// Largest miss-set size so far (`max_missed` of the prefix).
     max_missed: usize,
     /// First row attaining `max_missed` (meaningful when > 0).
     worst_row: TxnIndex,
-    /// Minimal delay bound of the prefix (0 = all prefixes complete).
+    /// Minimal delay bound of the prefix (0 = no bound is needed).
     delay_bound: u64,
     /// First `(seer, missed)` pair attaining `delay_bound`.
     delay_witness: Option<(TxnIndex, TxnIndex)>,
     /// Initiation time of every consumed row (append-only).
     times: Vec<u64>,
+    /// The miss sets of the rows before the first violation,
+    /// concatenated in row order.
+    missed: Vec<TxnIndex>,
+    /// Row `j`'s miss set is `missed[ends[j]..ends[j + 1]]`.
+    ends: Vec<usize>,
+    /// Scratch for the frontier test's uncovered rows (reused).
+    uncovered: Vec<TxnIndex>,
     verdicts: Vec<WindowVerdict>,
 }
 
@@ -340,34 +354,29 @@ impl StreamChecker {
         assert!(window > 0, "a verdict window must hold at least one row");
         StreamChecker {
             window,
-            rows: 0,
-            transitive: true,
             first_violation: None,
-            missers: PMap::new(),
             max_missed: 0,
             worst_row: 0,
             delay_bound: 0,
             delay_witness: None,
             times: Vec::new(),
+            missed: Vec::new(),
+            ends: vec![0],
+            uncovered: Vec::new(),
             verdicts: Vec::new(),
         }
     }
 
     /// Rows consumed so far.
     pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// The configured window size.
-    pub fn window(&self) -> usize {
-        self.window
+        self.times.len()
     }
 
     /// Whether no transitivity violation has been seen yet — the
     /// running verdict, readable between windows without building a
     /// report.
     pub fn transitive_so_far(&self) -> bool {
-        self.transitive
+        self.first_violation.is_none()
     }
 
     /// Consumes the next row of the serial order; returns the
@@ -380,74 +389,24 @@ impl StreamChecker {
     /// serial order by construction, so either is a harness bug (the
     /// CLI validates untrusted traces before pushing).
     pub fn push(&mut self, row: &StreamRow) -> Option<WindowVerdict> {
-        assert_eq!(
-            row.index, self.rows,
-            "stream rows must arrive in serial order"
-        );
-        assert!(
-            row.missed_well_formed(),
-            "miss set of row {} is not strictly increasing below it",
-            row.index
-        );
-        let i = row.index;
-
-        // k-completeness: the miss-set size IS missed_count(i).
-        if row.missed.len() > self.max_missed {
-            self.max_missed = row.missed.len();
-            self.worst_row = i;
-        }
-
-        // Delay bound: missing x is tolerable only for t > timeᵢ − timeₓ.
-        for &x in &row.missed {
-            let bound = row.time.saturating_sub(self.times[x]) + 1;
-            if bound > self.delay_bound {
-                self.delay_bound = bound;
-                self.delay_witness = Some((i, x));
-            }
-        }
-
-        // Transitivity: for each missed x, scan (x, i) for a witness j
-        // outside both Mᵢ and missers(x) — such a j is in 𝒫ᵢ and saw x.
-        for (pos, &x) in row.missed.iter().enumerate() {
-            if self.first_violation.is_some() {
-                break;
-            }
-            let empty: &[TxnIndex] = &[];
-            let mx: &[TxnIndex] = self.missers.get(&x).map_or(empty, Vec::as_slice);
-            if let Some(j) = gap_witness(&row.missed[pos + 1..], mx, x, i) {
-                self.transitive = false;
-                self.first_violation = Some((x, j, i));
-                if shard_obs::enabled() {
-                    stream_metrics().violations.inc();
-                }
-            }
-        }
-
-        // Maintain the missers index (after the check: a row is never
-        // its own witness). `get_mut` appends in place — the list is
-        // only copied when a clone of the checker still shares it.
-        for &x in &row.missed {
-            match self.missers.get_mut(&x) {
-                Some(list) => list.push(i),
-                None => {
-                    self.missers.insert(x, vec![i]);
-                }
-            }
-        }
-
-        self.times.push(row.time);
-        self.rows += 1;
+        let was_transitive = self.transitive_so_far();
+        self.admit(row);
         if shard_obs::enabled() {
-            stream_metrics().rows.inc();
+            let metrics = stream_metrics();
+            metrics.rows.inc();
+            if was_transitive && !self.transitive_so_far() {
+                metrics.violations.inc();
+            }
         }
-        if !self.rows.is_multiple_of(self.window) {
+        let rows = self.rows();
+        if !rows.is_multiple_of(self.window) {
             return None;
         }
         let verdict = WindowVerdict {
             window: self.verdicts.len(),
-            start: self.rows - self.window,
-            end: self.rows,
-            transitive: self.transitive,
+            start: rows - self.window,
+            end: rows,
+            transitive: self.transitive_so_far(),
             max_missed: self.max_missed,
             delay_bound: self.delay_bound,
         };
@@ -456,6 +415,115 @@ impl StreamChecker {
             stream_metrics().windows.inc();
         }
         Some(verdict)
+    }
+
+    /// Consumes the next row given by its sorted prefix subsequence.
+    /// Decides exactly like [`push`](Self::push) but emits no window
+    /// verdict and counts no stream metric: this is the entry of the
+    /// whole-execution readers in [`crate::conditions`].
+    pub(crate) fn push_prefix(&mut self, prefix: &[TxnIndex], time: u64) {
+        let index = self.rows();
+        self.admit(&StreamRow {
+            index,
+            time,
+            missed: complement(prefix, index),
+        });
+    }
+
+    /// The verdict step shared by [`push`](Self::push) and
+    /// [`push_prefix`](Self::push_prefix).
+    fn admit(&mut self, row: &StreamRow) {
+        assert_eq!(
+            row.index,
+            self.rows(),
+            "stream rows must arrive in serial order"
+        );
+        assert!(
+            row.missed_well_formed(),
+            "miss set of row {} is not strictly increasing below it",
+            row.index
+        );
+        let (i, m) = (row.index, row.missed.as_slice());
+
+        // k-completeness: the miss-set size IS missed_count(i).
+        if m.len() > self.max_missed {
+            self.max_missed = m.len();
+            self.worst_row = i;
+        }
+
+        // Delay bound: missing x is tolerable only for t > timeᵢ − timeₓ;
+        // an x initiated after i constrains no t.
+        for &x in m {
+            if let Some(gap) = row.time.checked_sub(self.times[x]) {
+                if gap + 1 > self.delay_bound {
+                    self.delay_bound = gap + 1;
+                    self.delay_witness = Some((i, x));
+                }
+            }
+        }
+
+        if self.transitive_so_far() {
+            match self.frontier_low(i, m) {
+                Some(low) => self.first_violation = Some((low, self.witness_mid(low, i, m), i)),
+                None => {
+                    self.missed.extend_from_slice(m);
+                    self.ends.push(self.missed.len());
+                }
+            }
+        }
+        self.times.push(row.time);
+    }
+
+    /// Row `j`'s miss set (rows before the first violation only).
+    fn missed_of(&self, j: TxnIndex) -> &[TxnIndex] {
+        &self.missed[self.ends[j]..self.ends[j + 1]]
+    }
+
+    /// The frontier test of row `i` with miss set `m`, valid while
+    /// every earlier row is transitive: the smallest `x ∈ m` that some
+    /// row `i` saw had itself seen, or `None` if row `i` is transitive.
+    fn frontier_low(&mut self, i: TxnIndex, m: &[TxnIndex]) -> Option<TxnIndex> {
+        // A row at or below the smallest miss saw nothing `m` holds, so
+        // neither it nor anything it covers needs a check.
+        let &floor = m.first()?;
+        // The largest row i saw: below the run of misses ending at i − 1.
+        let mut top = i;
+        for &x in m.iter().rev() {
+            if x + 1 != top {
+                break;
+            }
+            top = x;
+        }
+        let mut j = top.checked_sub(1).filter(|&j| j > floor)?;
+        let mut uncovered = std::mem::take(&mut self.uncovered);
+        uncovered.clear();
+        // Row j's misses from the floor up: the only ones either test reads.
+        let missed_from_floor = |j: TxnIndex| {
+            let mj = self.missed_of(j);
+            &mj[mj.partition_point(|&x| x < floor)..]
+        };
+        // 𝒫ⱼ ⊆ 𝒫ᵢ ⟺ m ∩ [0, j) ⊆ Mⱼ; j covers itself and 𝒫ⱼ, so of the
+        // rows i saw below j only Mⱼ ∖ m stays uncovered.
+        let mj = missed_from_floor(j);
+        let mut low = first_escape(m, mj, j);
+        uncovered.extend(mj.iter().copied().filter(absent_from(m)));
+        while let Some(next) = uncovered.pop() {
+            j = next;
+            let mj = missed_from_floor(j);
+            low = low.into_iter().chain(first_escape(m, mj, j)).min();
+            let mut outside_mj = absent_from(mj);
+            uncovered.retain(|x| !outside_mj(x));
+        }
+        self.uncovered = uncovered;
+        low
+    }
+
+    /// The smallest `j ∈ (low, i)` that row `i` saw and that saw `low`.
+    fn witness_mid(&self, low: TxnIndex, i: TxnIndex, m: &[TxnIndex]) -> TxnIndex {
+        (low + 1..i)
+            .filter(absent_from(m))
+            .find(|&j| self.missed_of(j).binary_search(&low).is_err())
+            .expect("the frontier test found a seen row that saw low")
     }
 
     /// The verdicts and certificates for everything consumed so far.
@@ -478,8 +546,8 @@ impl StreamChecker {
             });
         }
         StreamReport {
-            rows: self.rows,
-            transitive: self.transitive,
+            rows: self.rows(),
+            transitive: self.transitive_so_far(),
             max_missed: self.max_missed,
             min_delay_bound: self.delay_bound,
             verdicts: self.verdicts.clone(),
@@ -488,36 +556,43 @@ impl StreamChecker {
     }
 }
 
-/// Finds the smallest `j ∈ (x, i)` absent from both sorted lists
-/// (`rest` — the checking row's misses above `x`; `mx` — the rows that
-/// missed `x`), or `None` if every candidate is blocked. A merged gap
-/// scan: O(|rest| + |mx|).
-fn gap_witness(rest: &[TxnIndex], mx: &[TxnIndex], x: TxnIndex, i: TxnIndex) -> Option<TxnIndex> {
-    let (mut a, mut b) = (0usize, 0usize);
-    let mut candidate = x + 1;
-    while candidate < i {
-        while a < rest.len() && rest[a] < candidate {
-            a += 1;
+/// A membership test against the sorted list `sorted` for queries in
+/// increasing order: a merge cursor, so a whole pass costs
+/// O(|sorted| + queries). Returns `true` for values *not* in `sorted`.
+fn absent_from(sorted: &[TxnIndex]) -> impl FnMut(&TxnIndex) -> bool + '_ {
+    let mut k = 0;
+    move |&x| {
+        while sorted.get(k).is_some_and(|&s| s < x) {
+            k += 1;
         }
-        while b < mx.len() && mx[b] < candidate {
-            b += 1;
-        }
-        let blocked = match (rest.get(a).copied(), mx.get(b).copied()) {
-            (Some(u), Some(v)) => u.min(v),
-            (Some(u), None) => u,
-            (None, Some(v)) => v,
-            (None, None) => return Some(candidate),
-        };
-        if blocked > candidate {
-            return Some(candidate);
-        }
-        candidate += 1;
+        sorted.get(k) != Some(&x)
     }
-    None
+}
+
+/// The smallest `x ∈ m` below `j` that row `j` saw (absent from its
+/// miss set `mj`): a transitivity breach through `j` if `i` saw `j`.
+fn first_escape(m: &[TxnIndex], mj: &[TxnIndex], j: TxnIndex) -> Option<TxnIndex> {
+    m[..m.partition_point(|&x| x < j)]
+        .iter()
+        .copied()
+        .find(absent_from(mj))
+}
+
+/// Row `i`'s miss set `{0..i} ∖ prefix`, for a strictly increasing
+/// `prefix` below `i`: the gaps between consecutive prefix entries.
+fn complement(prefix: &[TxnIndex], i: TxnIndex) -> Vec<TxnIndex> {
+    let mut missed = Vec::with_capacity(i - prefix.len());
+    let mut next = 0;
+    for &p in prefix {
+        missed.extend(next..p);
+        next = p + 1;
+    }
+    missed.extend(next..i);
+    missed
 }
 
 /// Converts a timed execution into its stream rows — each prefix
-/// complemented into a miss set by a two-pointer scan. Long executions
+/// complemented into a miss set. Long executions
 /// partition the row range across `pool` (rows are independent and
 /// collected in input order, so the result is identical at every
 /// thread count).
@@ -532,20 +607,10 @@ pub fn rows_from_execution<A: Application>(
         .map(|r| r.prefix.as_slice())
         .collect();
     let times = te.times.as_slice();
-    let row_of = |i: usize| {
-        let mut missed = Vec::with_capacity(i - prefixes[i].len());
-        let mut seen = prefixes[i].iter().copied().peekable();
-        for j in 0..i {
-            if seen.next_if_eq(&j).is_some() {
-                continue;
-            }
-            missed.push(j);
-        }
-        StreamRow {
-            index: i,
-            time: times[i],
-            missed,
-        }
+    let row_of = |i: usize| StreamRow {
+        index: i,
+        time: times[i],
+        missed: complement(prefixes[i], i),
     };
     let n = prefixes.len();
     if n < PAR_THRESHOLD || shard_pool::is_worker() {
@@ -570,9 +635,9 @@ pub fn check_rows(window: usize, rows: &[StreamRow]) -> StreamReport {
 
 /// The offline entry point over the pool: extracts rows in parallel
 /// ([`rows_from_execution`]), folds them through one sequential
-/// [`StreamChecker`] (the fold is O(total misses) — the cheap part),
-/// and reports. Verdicts equal the offline checkers' at every window
-/// and pool size.
+/// [`StreamChecker`], and reports. The summary verdicts and
+/// certificates equal [`TimedExecution::report`]'s at every window and
+/// pool size.
 pub fn par_check<A: Application>(
     pool: &PoolConfig,
     te: &TimedExecution<A>,
@@ -586,43 +651,11 @@ pub fn par_check<A: Application>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::DecisionOutcome;
-    use crate::conditions::{is_transitive, max_missed, transitivity_violation};
-    use crate::execution::ExecutionBuilder;
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Nop;
-
-    struct Trivial;
-    impl Application for Trivial {
-        type State = ();
-        type Update = Nop;
-        type Decision = ();
-        fn initial_state(&self) {}
-        fn is_well_formed(&self, _: &()) -> bool {
-            true
-        }
-        fn apply(&self, _: &(), _: &Nop) {}
-        fn decide(&self, _: &(), _: &()) -> DecisionOutcome<Nop> {
-            DecisionOutcome::update_only(Nop)
-        }
-        fn constraint_count(&self) -> usize {
-            0
-        }
-        fn constraint_name(&self, _: usize) -> &str {
-            unreachable!()
-        }
-        fn cost(&self, _: &(), _: usize) -> u64 {
-            unreachable!()
-        }
-    }
+    use crate::conditions::is_transitive;
+    use crate::conditions::tests::{exec_with_prefixes, Trivial};
 
     fn timed(prefixes: &[&[usize]], times: &[u64]) -> TimedExecution<Trivial> {
-        let mut b = ExecutionBuilder::new(&Trivial);
-        for p in prefixes {
-            b.push((), p.to_vec()).unwrap();
-        }
-        TimedExecution::new(b.finish(), times.to_vec())
+        TimedExecution::new(exec_with_prefixes(prefixes), times.to_vec())
     }
 
     fn rows_of(te: &TimedExecution<Trivial>) -> Vec<StreamRow> {
@@ -641,17 +674,13 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_match_offline_checkers_on_the_paper_shapes() {
+    fn verdicts_on_the_paper_shapes() {
         // The §3.2 intransitive shape: 2 sees 1, 1 sees 0, 2 misses 0.
         let te = timed(&[&[], &[0], &[1]], &[0, 10, 20]);
         let report = check_rows(1, &rows_of(&te));
         assert!(!report.transitive);
         assert_eq!(report.max_missed, 1);
         assert_eq!(report.min_delay_bound, 21);
-        assert!(is_transitive(&te.execution) == report.transitive);
-        assert_eq!(max_missed(&te.execution), report.max_missed);
-        assert_eq!(te.min_delay_bound(), report.min_delay_bound);
-        // The certificate is the offline violation triple.
         assert_eq!(
             report.violation(),
             Some(&Certificate::Transitivity {
@@ -660,7 +689,9 @@ mod tests {
                 top: 2
             })
         );
-        assert_eq!(transitivity_violation(&te.execution), Some((0, 1, 2)));
+        // The whole-execution readers fold through the same checker.
+        assert!(!is_transitive(&te.execution));
+        assert_eq!(te.report().certificates, report.certificates);
 
         // A transitive shape stays clean at every window size.
         let te = timed(&[&[], &[0], &[0, 1]], &[0, 1, 2]);
@@ -688,19 +719,16 @@ mod tests {
                 top: 3
             })
         );
-        // Offline agreement on the verdict.
-        assert!(!is_transitive(&te.execution));
     }
 
     #[test]
-    fn missers_index_blocks_false_witnesses() {
+    fn rows_that_missed_the_same_rows_are_no_witnesses() {
         // 3 misses 0; its only in-range peers 1 and 2 also missed 0, so
         // nobody 3 saw had seen 0 — transitive despite the misses.
         let te = timed(&[&[], &[], &[1], &[1, 2]], &[0, 1, 2, 3]);
         let report = check_rows(1, &rows_of(&te));
         assert!(report.transitive, "no witness exists");
-        assert!(is_transitive(&te.execution));
-        assert_eq!(report.max_missed, max_missed(&te.execution));
+        assert_eq!(report.max_missed, 1);
     }
 
     #[test]
@@ -759,42 +787,32 @@ mod tests {
         // Above PAR_THRESHOLD the extraction takes the partitioned
         // path; rows must be identical to the sequential ones.
         let n = PAR_THRESHOLD + 100;
-        let mut b = ExecutionBuilder::new(&Trivial);
-        for i in 0..n {
-            let prefix: Vec<usize> = if i % 97 == 3 {
-                (1..i).collect()
-            } else {
-                (0..i).collect()
-            };
-            b.push((), prefix).unwrap();
-        }
-        let te = TimedExecution::new(b.finish(), (0..n as u64).collect());
-        let seq: Vec<StreamRow> = (0..n)
-            .map(|i| {
-                let mut missed = Vec::new();
-                let mut seen = te.execution.record(i).prefix.iter().copied().peekable();
-                for j in 0..i {
-                    if seen.next_if_eq(&j).is_some() {
-                        continue;
-                    }
-                    missed.push(j);
-                }
-                StreamRow {
-                    index: i,
-                    time: te.times[i],
-                    missed,
-                }
-            })
+        let prefixes: Vec<Vec<usize>> = (0..n)
+            .map(|i| (usize::from(i % 97 == 3)..i).collect())
             .collect();
-        for threads in [1, 2, 7] {
+        let prefixes: Vec<&[usize]> = prefixes.iter().map(Vec::as_slice).collect();
+        let te = timed(&prefixes, &(0..n as u64).collect::<Vec<_>>());
+        let seq = rows_of(&te);
+        assert_eq!(seq[100].missed, vec![0]);
+        assert!(seq[101].missed.is_empty());
+        for threads in [2, 7] {
             let par = rows_from_execution(&PoolConfig::with_threads(threads), &te);
             assert_eq!(par, seq, "rows diverge at {threads} threads");
         }
-        // And the report agrees with the offline verdicts.
+        // Rows 3, 100, …, 1070 miss only row 0, which row 1 saw: the
+        // first breach is (0, 1, 3); the widest delay gap is 1070 − 0.
         let report = check_rows(64, &seq);
-        assert_eq!(report.transitive, is_transitive(&te.execution));
-        assert_eq!(report.max_missed, max_missed(&te.execution));
-        assert_eq!(report.min_delay_bound, te.min_delay_bound());
+        assert!(!report.transitive);
+        assert_eq!(
+            report.violation(),
+            Some(&Certificate::Transitivity {
+                low: 0,
+                mid: 1,
+                top: 3
+            })
+        );
+        assert_eq!(report.max_missed, 1);
+        assert_eq!(report.min_delay_bound, 1071);
     }
 
     #[test]

@@ -177,7 +177,14 @@ pub fn certify(trace: &str, cert: &str) -> Result<CertVerdict, String> {
             if !s.missed.contains(&missed) {
                 return Err(format!("row {seer} saw {missed}: no delay witness"));
             }
-            let implied = s.time.saturating_sub(x.time) + 1;
+            if x.time > s.time {
+                return Err(format!(
+                    "row {missed} (t={}) was initiated after row {seer} (t={}): \
+                     missing it breaks no delay bound",
+                    x.time, s.time
+                ));
+            }
+            let implied = s.time - x.time + 1;
             if implied != bound {
                 return Err(format!(
                     "rows {seer} and {missed} witness a delay bound of {implied}, \
@@ -262,6 +269,21 @@ mod tests {
         let bad = "{\"schema\":\"shard-cert/v1\",\"property\":\"delay_bound\",\
                    \"seer\":1,\"missed\":0,\"bound\":11}";
         assert!(certify(TRACE, bad).unwrap_err().contains("saw 0"));
+    }
+
+    #[test]
+    fn delay_bound_rejects_a_missed_row_initiated_after_its_seer() {
+        // Non-orderly: row 1 ran at t=0, before row 0 (t=5), and missed
+        // it. That breaks no delay bound, so no bound certificate holds.
+        let trace = concat!(
+            "{\"event\":\"txn\",\"i\":0,\"t\":5,\"missed\":[]}\n",
+            "{\"event\":\"txn\",\"i\":1,\"t\":0,\"missed\":[0]}\n",
+        );
+        let bad = "{\"schema\":\"shard-cert/v1\",\"property\":\"delay_bound\",\
+                   \"seer\":1,\"missed\":0,\"bound\":1}";
+        assert!(certify(trace, bad)
+            .unwrap_err()
+            .contains("initiated after row 1"));
     }
 
     #[test]

@@ -503,16 +503,11 @@ fn monitor_loop(
                     // Every node thread exited: all rows are in. Drain
                     // the stalled tail and report.
                     lm.flush(sink);
+                    let report = lm.report();
                     if let Some(s) = sink {
-                        let r = lm.report();
-                        s.event("monitor.final")
-                            .u64("rows", r.rows as u64)
-                            .bool("transitive", r.transitive)
-                            .u64("max_missed", r.max_missed as u64)
-                            .u64("delay_bound", r.min_delay_bound)
-                            .emit();
+                        s.write_line(&report.to_json_line());
                     }
-                    return lm.report();
+                    return report;
                 }
             }
         }

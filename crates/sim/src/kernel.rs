@@ -1178,13 +1178,7 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             // the stalled tail is sound and the report covers the run.
             m.flush(cfg.sink.as_deref());
             if let Some(sink) = cfg.sink.as_deref() {
-                let r = m.report();
-                sink.event("monitor.final")
-                    .u64("rows", r.rows as u64)
-                    .bool("transitive", r.transitive)
-                    .u64("max_missed", r.max_missed as u64)
-                    .u64("delay_bound", r.min_delay_bound)
-                    .emit();
+                sink.write_line(&m.report().to_json_line());
             }
         }
         if let Some(sink) = cfg.sink.as_deref() {

@@ -49,7 +49,7 @@
 //!   [`LiveMonitor`] seals executed transactions behind a Lamport
 //!   watermark and streams them to a [`shard_core::StreamChecker`], so
 //!   verdicts (and an optional early abort) arrive while the run is
-//!   still going, bit-identical to the offline checkers.
+//!   still going, bit-identical to the whole-execution report.
 //! * [`nemesis`] — seeded, composable fault injection plugged into the
 //!   kernel transport ([`Runner::with_nemesis`]): message drop,
 //!   duplication and adversarial reordering, jittered partition and

@@ -12,8 +12,10 @@
 //! can ever sort before a sealed one. Sealed transactions drain to a
 //! [`StreamChecker`] in timestamp order — exactly the order
 //! [`crate::RunReport::timed_execution`] assigns — so the online
-//! verdicts are bit-identical to running the offline checkers on the
+//! verdicts are bit-identical to [`TimedExecution::report`] on the
 //! finished report.
+//!
+//! [`TimedExecution::report`]: shard_core::TimedExecution::report
 //!
 //! Because a transaction's known set precedes its own timestamp (the
 //! kernel's structural Lamport guarantee), every known timestamp of a

@@ -1,14 +1,23 @@
-//! Online ≡ offline equivalence for the streaming §3 checkers: on
-//! random executions from all five applications, the windowed
-//! [`StreamChecker`] fold (through `par_check`, at several window and
-//! pool sizes) must reach exactly the verdicts of the whole-execution
-//! checkers — `is_transitive`, `max_missed`, `min_delay_bound` and the
-//! first transitivity witness — and every certificate the checker
-//! emits must re-validate through the shared-nothing `shard-trace
-//! certify` validator against a JSONL trace synthesized from the same
-//! rows. Window sizes {1, 7, 64} cross verdict boundaries at every
-//! alignment; pool sizes {1, 2, 7} pin thread-count invariance of the
-//! row extraction.
+//! The §3 checker against a literal oracle: on random executions from
+//! all five applications, the windowed [`StreamChecker`] fold (through
+//! `par_check`, at several window and pool sizes) and the
+//! whole-execution readers built on it (`is_transitive`,
+//! `TimedExecution::report`) must reach exactly what a naive, set-based
+//! reading of the §3.2 definitions says — the verdicts at every window
+//! boundary, and the *identical* certificates: the canonical first
+//! transitivity breach, the first row attaining `max_missed`, and the
+//! first pair attaining the smallest delay bound. Every certificate must
+//! also re-validate through the shared-nothing `shard-trace certify`
+//! validator against a JSONL trace synthesized from the same rows.
+//! Window sizes {1, 7, 64} cross verdict boundaries at every alignment;
+//! pool sizes {1, 2, 7} pin thread-count invariance of the row
+//! extraction.
+//!
+//! Executions mix three shapes: sparse or dense misses among the eight
+//! most recent predecessors, an *island* window in which two groups of
+//! transactions miss each other's rows (a partition, with its long runs
+//! of misses and a frontier two rows wide), and non-orderly initiation
+//! times.
 //!
 //! The same executions then take the out-of-core path: rows are
 //! serialized into a [`StreamingExecution`] and folded back off the
@@ -30,7 +39,7 @@ use shard::apps::dictionary::{DictTxn, Dictionary};
 use shard::apps::inventory::{InvTxn, ItemId, Order, OrderId, Warehouse};
 use shard::apps::nameserver::{GroupId, Name, NameServer, NsTxn};
 use shard::apps::Person;
-use shard::core::conditions::{is_transitive, max_missed, transitivity_violation};
+use shard::core::conditions::is_transitive;
 use shard::core::stream::{par_check, rows_from_execution, CERT_SCHEMA};
 use shard::core::{
     Application, Certificate, Checkpoints, ExecutionBuilder, StreamingExecution, TimedExecution,
@@ -38,6 +47,8 @@ use shard::core::{
 };
 use shard::store::{Codec, MemStore};
 use shard_pool::PoolConfig;
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 const WINDOWS: [usize; 3] = [1, 7, 64];
 const POOLS: [usize; 3] = [1, 2, 7];
@@ -47,51 +58,162 @@ const SPACINGS: [usize; 3] = [1, 16, 256];
 /// Pool sizes the store-backed report must match `par_check` at.
 const STREAM_POOLS: [usize; 2] = [1, 4];
 
-/// One generated transaction: a decision, a miss mask over the eight
-/// most recent predecessors, and the time gap since the previous
-/// transaction.
-type Gen<D> = (D, u64, u64);
+/// One generated transaction: a decision, a random word (bits 0–7 and
+/// their rotations mask the eight most recent predecessors; bit 63
+/// picks the island group), the time gap since the previous
+/// transaction, and a skew that pulls a non-orderly initiation time
+/// back.
+type Gen<D> = (D, u64, u64, u64);
+
+/// The execution-wide shape of a generated case.
+#[derive(Clone, Debug)]
+struct Shape {
+    /// Rows in this range miss the rows of the other group in it.
+    island: Range<usize>,
+    /// How many rotated copies of the word thin the recent-miss mask
+    /// (0: each recent predecessor missed with probability ½, halving
+    /// per copy; 6: none).
+    sparsity: u32,
+    /// Whether initiation times ignore the skew (stay monotone).
+    orderly: bool,
+}
 
 /// Builds the timed execution a kernel run would have produced: each
-/// transaction sees all predecessors except the masked recent ones,
-/// initiation times are the prefix sums of the gaps.
-fn timed<A: Application>(app: &A, txns: Vec<Gen<A::Decision>>) -> TimedExecution<A> {
+/// transaction sees all predecessors except the masked recent ones and,
+/// inside the island window, the other group's rows; initiation times
+/// are the prefix sums of the gaps, pulled back by the skews unless the
+/// shape is orderly.
+fn timed<A: Application>(app: &A, txns: Vec<Gen<A::Decision>>, shape: &Shape) -> TimedExecution<A> {
     let mut b = ExecutionBuilder::new(app);
     let mut times = Vec::with_capacity(txns.len());
+    let mut groups = Vec::with_capacity(txns.len());
     let mut now = 0u64;
-    for (decision, miss_bits, gap) in txns {
+    for (decision, word, gap, skew) in txns {
         let i = b.len();
-        let missing: Vec<TxnIndex> = (0..8)
-            .filter(|bit| miss_bits >> bit & 1 == 1)
-            .map(|bit| i.saturating_sub(bit + 1))
-            .filter(|&j| j < i)
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
+        let mask = match shape.sparsity {
+            6 => 0,
+            k => (1..=k).fold(word, |m, r| m & word.rotate_right(8 * r)),
+        };
+        let group = word >> 63;
+        let mut missing: BTreeSet<TxnIndex> = (0..8)
+            .filter(|bit| mask >> bit & 1 == 1)
+            .filter_map(|bit| i.checked_sub(bit + 1))
             .collect();
-        b.push_missing(decision, &missing).expect("valid prefix");
+        if shape.island.contains(&i) {
+            missing.extend((shape.island.start..i).filter(|&j| groups[j] != group));
+        }
+        groups.push(group);
+        b.push_missing(decision, &missing.into_iter().collect::<Vec<_>>())
+            .expect("valid prefix");
         now += gap;
-        times.push(now);
+        times.push(if shape.orderly {
+            now
+        } else {
+            now.saturating_sub(skew)
+        });
     }
     TimedExecution::new(b.finish(), times)
 }
 
+/// The §3.2 definitions read literally off the prefix sets — the
+/// oracle the checker must match.
+struct Oracle {
+    /// The canonical first transitivity breach `(low, mid, top)`: the
+    /// first row `top` with one, its smallest missed `low` that some
+    /// seen row had seen, then the smallest such `mid`.
+    violation: Option<(TxnIndex, TxnIndex, TxnIndex)>,
+    /// Per row: how many predecessors it missed.
+    missed: Vec<usize>,
+    /// Per row: the smallest `t` its misses allow (`tᵢ` with
+    /// `timeⱼ + t > timeᵢ` for every missed `j`).
+    bound: Vec<u64>,
+    /// The execution's certificates, in the checker's order.
+    certificates: Vec<Certificate>,
+}
+
+fn oracle<A: Application>(te: &TimedExecution<A>) -> Oracle {
+    let n = te.execution.len();
+    let times = &te.times;
+    let sets: Vec<BTreeSet<TxnIndex>> = (0..n)
+        .map(|i| te.execution.record(i).prefix.iter().copied().collect())
+        .collect();
+    let seen = &sets;
+    let misses = |i: usize| (0..i).filter(move |j| !seen[i].contains(j));
+    let violation = (0..n).find_map(|top| {
+        misses(top).find_map(|low| {
+            (low + 1..top)
+                .find(|mid| seen[top].contains(mid) && seen[*mid].contains(&low))
+                .map(|mid| (low, mid, top))
+        })
+    });
+    // t-bounded delay, literally: each missed j has timeⱼ + t > timeᵢ.
+    let pair_bound = |i: usize, j: usize| (times[i] + 1).saturating_sub(times[j]);
+    let bounded = |t: u64| (0..n).all(|i| misses(i).all(|j| times[j] + t > times[i]));
+    let missed: Vec<usize> = (0..n).map(|i| misses(i).count()).collect();
+    let bound: Vec<u64> = (0..n)
+        .map(|i| misses(i).map(|j| pair_bound(i, j)).max().unwrap_or(0))
+        .collect();
+    let t = bound.iter().copied().max().unwrap_or(0);
+    assert!(bounded(t), "oracle: the delay bound {t} must hold");
+    assert!(
+        t == 0 || !bounded(t - 1),
+        "oracle: {t} must be the smallest bound"
+    );
+
+    let mut certificates = Vec::new();
+    if let Some((low, mid, top)) = violation {
+        certificates.push(Certificate::Transitivity { low, mid, top });
+    }
+    let k = missed.iter().copied().max().unwrap_or(0);
+    if k > 0 {
+        let index = missed
+            .iter()
+            .position(|&m| m == k)
+            .expect("max is attained");
+        certificates.push(Certificate::KCompleteness { index, missed: k });
+    }
+    if t > 0 {
+        let (seer, missed) = (0..n)
+            .flat_map(|i| misses(i).map(move |j| (i, j)))
+            .find(|&(i, j)| pair_bound(i, j) == t)
+            .expect("the bound is attained");
+        certificates.push(Certificate::DelayBound {
+            seer,
+            missed,
+            bound: t,
+        });
+    }
+    Oracle {
+        violation,
+        missed,
+        bound,
+        certificates,
+    }
+}
+
 /// The property: every `(window, pool)` combination of the streaming
-/// pipeline agrees with the whole-execution fold, every emitted
-/// certificate independently re-validates against the row trace, and
-/// the store-backed out-of-core path reproduces the in-memory fold,
-/// floors and reports exactly.
-fn assert_online_matches_offline<A>(app: &A, txns: Vec<Gen<A::Decision>>)
+/// pipeline, and the whole-execution readers, reach exactly the
+/// oracle's verdicts and certificates; every certificate independently
+/// re-validates against the row trace; and the store-backed out-of-core
+/// path reproduces the in-memory fold, floors and reports exactly.
+fn assert_checker_matches_oracle<A>(app: &A, txns: Vec<Gen<A::Decision>>, shape: Shape)
 where
     A: Application,
     A::State: Codec,
     A::Update: Codec,
 {
-    let te = timed(app, txns);
+    let te = timed(app, txns, &shape);
     assert_streaming_matches_in_memory(app, &te);
-    let offline_transitive = is_transitive(&te.execution);
-    let offline_max_missed = max_missed(&te.execution);
-    let offline_bound = te.min_delay_bound();
-    let offline_witness = transitivity_violation(&te.execution);
+    let want = oracle(&te);
+    let n = te.execution.len();
+
+    let whole = te.report();
+    assert_eq!(whole.rows, n);
+    assert_eq!(
+        whole.certificates, want.certificates,
+        "report() certificates"
+    );
+    assert_eq!(is_transitive(&te.execution), want.violation.is_none());
 
     // The synthesized trace: exactly the `txn` lines a monitored kernel
     // run (or `shard-trace watch`) would carry.
@@ -103,31 +225,34 @@ where
         for pool in POOLS {
             let report = par_check(&PoolConfig::with_threads(pool), &te, window);
             assert_eq!(
-                report.transitive, offline_transitive,
-                "window {window} pool {pool}: transitivity verdict"
+                (report.transitive, report.max_missed, report.min_delay_bound),
+                (whole.transitive, whole.max_missed, whole.min_delay_bound),
+                "window {window} pool {pool}: summary verdicts"
             );
             assert_eq!(
-                report.max_missed, offline_max_missed,
-                "window {window} pool {pool}: max_missed"
+                report.certificates, want.certificates,
+                "window {window} pool {pool}: certificates"
             );
             assert_eq!(
-                report.min_delay_bound, offline_bound,
-                "window {window} pool {pool}: delay bound"
+                report.verdicts.len(),
+                n / window,
+                "one verdict per full window"
             );
-            // The checkers may pick different (equally valid) witness
-            // triples — both enumerate violations, in different orders —
-            // so require existence to agree and validity via `certify`
-            // below; only the *verdict* must be identical.
-            assert_eq!(
-                report.violation().is_some(),
-                offline_witness.is_some(),
-                "window {window} pool {pool}: witness presence"
-            );
-            if let Some(Certificate::Transitivity { low, mid, top }) = report.violation() {
-                let p = |i: usize| &te.execution.record(i).prefix;
-                assert!(
-                    p(*mid).contains(low) && p(*top).contains(mid) && !p(*top).contains(low),
-                    "window {window} pool {pool}: ({low}, {mid}, {top}) is not a violation"
+            for (w, v) in report.verdicts.iter().enumerate() {
+                let end = (w + 1) * window;
+                assert_eq!((v.window, v.start, v.end), (w, w * window, end));
+                assert_eq!(
+                    v.transitive,
+                    want.violation.is_none_or(|(_, _, top)| top >= end),
+                    "window {window}: transitivity after {end} rows"
+                );
+                assert_eq!(
+                    v.max_missed,
+                    want.missed[..end].iter().copied().max().unwrap()
+                );
+                assert_eq!(
+                    v.delay_bound,
+                    want.bound[..end].iter().copied().max().unwrap()
                 );
             }
             for cert in &report.certificates {
@@ -306,44 +431,57 @@ fn nameserver_txn() -> impl Strategy<Value = NsTxn> {
     ]
 }
 
-/// `(decision, miss mask, time gap)` triples; gaps up to 20 keep the
-/// delay-bound witness nontrivial.
+/// `(decision, word, time gap, skew)` tuples; gaps up to 20 keep the
+/// delay-bound witness nontrivial, and skews up to 30 reorder times
+/// across several transactions.
 fn txns<D: std::fmt::Debug>(
     d: impl Strategy<Value = D>,
-) -> impl Strategy<Value = Vec<(D, u64, u64)>> {
-    proptest::collection::vec((d, any::<u64>(), 0u64..20), 1..70)
+) -> impl Strategy<Value = Vec<(D, u64, u64, u64)>> {
+    proptest::collection::vec((d, any::<u64>(), 0u64..20, 0u64..30), 1..70)
+}
+
+/// An island of up to 40 rows starting anywhere in the execution, a
+/// recent-miss sparsity, and orderly or skewed times.
+fn shape() -> impl Strategy<Value = Shape> {
+    ((0usize..70, 0usize..40), 0u32..7, any::<bool>()).prop_map(
+        |((start, len), sparsity, orderly)| Shape {
+            island: start..start + len,
+            sparsity,
+            orderly,
+        },
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Airline: windowed verdicts equal the whole-execution fold.
+    /// Airline: the checker's verdicts and certificates equal the oracle's.
     #[test]
-    fn airline_stream_matches_offline(t in txns(airline_txn())) {
-        assert_online_matches_offline(&FlyByNight::new(2), t);
+    fn airline_stream_matches_offline(t in txns(airline_txn()), s in shape()) {
+        assert_checker_matches_oracle(&FlyByNight::new(2), t, s);
     }
 
-    /// Banking: windowed verdicts equal the whole-execution fold.
+    /// Banking: the checker's verdicts and certificates equal the oracle's.
     #[test]
-    fn bank_stream_matches_offline(t in txns(bank_txn())) {
-        assert_online_matches_offline(&Bank::new(3, 200), t);
+    fn bank_stream_matches_offline(t in txns(bank_txn()), s in shape()) {
+        assert_checker_matches_oracle(&Bank::new(3, 200), t, s);
     }
 
-    /// Dictionary: windowed verdicts equal the whole-execution fold.
+    /// Dictionary: the checker's verdicts and certificates equal the oracle's.
     #[test]
-    fn dictionary_stream_matches_offline(t in txns(dict_txn())) {
-        assert_online_matches_offline(&Dictionary, t);
+    fn dictionary_stream_matches_offline(t in txns(dict_txn()), s in shape()) {
+        assert_checker_matches_oracle(&Dictionary, t, s);
     }
 
-    /// Inventory: windowed verdicts equal the whole-execution fold.
+    /// Inventory: the checker's verdicts and certificates equal the oracle's.
     #[test]
-    fn inventory_stream_matches_offline(t in txns(inventory_txn())) {
-        assert_online_matches_offline(&Warehouse::new(3, 10, 7, 3), t);
+    fn inventory_stream_matches_offline(t in txns(inventory_txn()), s in shape()) {
+        assert_checker_matches_oracle(&Warehouse::new(3, 10, 7, 3), t, s);
     }
 
-    /// Name server: windowed verdicts equal the whole-execution fold.
+    /// Name server: the checker's verdicts and certificates equal the oracle's.
     #[test]
-    fn nameserver_stream_matches_offline(t in txns(nameserver_txn())) {
-        assert_online_matches_offline(&NameServer::new(3, 5), t);
+    fn nameserver_stream_matches_offline(t in txns(nameserver_txn()), s in shape()) {
+        assert_checker_matches_oracle(&NameServer::new(3, 5), t, s);
     }
 }
